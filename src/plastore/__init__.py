@@ -3,7 +3,7 @@ error-bounded piecewise linear approximations of monotone integer
 sequences."""
 
 from .pla import COMPRESSION, INDEXING, PointSeq, Segment, Pla, build_optimal_pla, round_to_integer_endpoints, verify_error
-from .succinct import BitVector, RankSelectIndex, EliasFano, ef_encode, ef_select, ef_pred, bv_rank1, bv_select1
+from .succinct import BitVector, RankSelectIndex, EliasFano
 from .store_compression import CompressedPlaC, encode_c, segment_of_c, decode_segment_c, predict_c, size_bits_c
 from .store_indexing import CompressedPlaI, encode_i, segment_of_i, decode_segment_i, predict_i, size_bits_i
 from .bounds import (
@@ -29,7 +29,6 @@ __all__ = [
     "COMPRESSION", "INDEXING", "PointSeq", "Segment", "Pla",
     "build_optimal_pla", "round_to_integer_endpoints", "verify_error",
     "BitVector", "RankSelectIndex", "EliasFano",
-    "ef_encode", "ef_select", "ef_pred", "bv_rank1", "bv_select1",
     "CompressedPlaC", "encode_c", "segment_of_c", "decode_segment_c", "predict_c", "size_bits_c",
     "CompressedPlaI", "encode_i", "segment_of_i", "decode_segment_i", "predict_i", "size_bits_i",
     "BigCount", "BoundReport", "baseline_la_bits", "baseline_pgm_bits",

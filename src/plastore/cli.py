@@ -13,15 +13,13 @@ import json
 import struct
 import sys
 
-import numpy as np
-
 from . import bounds as bnd
 from .container import MODE_EF, MODE_RS
 from .errors import BudgetError, CoverageError, FormatError
 from .oracle import EnumSpec, enumerate_pla_c, enumerate_pla_i
-from .pla import COMPRESSION, INDEXING, PointSeq, build_optimal_pla
-from .store_compression import MAGIC as MAGIC_C, CompressedPlaC, encode_c
-from .store_indexing import MAGIC as MAGIC_I, CompressedPlaI, encode_i
+from .pla import COMPRESSION, INDEXING, Pla, PointSeq, build_optimal_pla, interpolate, verify_error
+from .store_compression import CompressedPlaC, encode_c
+from .store_indexing import CompressedPlaI, encode_i
 
 
 def read_sequence(path: str, fmt: str) -> list:
@@ -59,10 +57,9 @@ def load_points(path: str, fmt: str, setting: str, universe=None) -> PointSeq:
 def load_container(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] == MAGIC_C:
-        return CompressedPlaC.from_bytes(data), COMPRESSION
-    if data[:4] == MAGIC_I:
-        return CompressedPlaI.from_bytes(data), INDEXING
+    for cls in (CompressedPlaC, CompressedPlaI):
+        if data[:4] == cls.MAGIC:
+            return cls.from_bytes(data), cls.SETTING
     raise FormatError(f"{path}: unrecognized container magic {data[:4]!r}")
 
 
@@ -139,31 +136,21 @@ def cmd_verify(args) -> int:
     if points.values[-1] != store.u:
         raise ValueError(f"container universe {store.u} does not match final value {points.values[-1]}")
     segments = store.decode_all_segments()
-    values = np.asarray(points.values, dtype=np.int64)
-    if setting == COMPRESSION:
-        xs = np.arange(1, store.n + 1, dtype=np.int64)
-        truth = values
-        counts = [s.last_x - s.first_x + 1 for s in segments]
-    else:
-        xs = values
-        truth = np.arange(1, store.n + 1, dtype=np.int64)
-        counts = [s.last_y - s.first_y + 1 for s in segments]
-    if sum(counts) != store.n:
-        raise CoverageError("decoded segments do not cover every point")
-    rep = lambda key: np.repeat(np.array([getattr(s, key) for s in segments], dtype=np.int64), counts)
-    f, l, b, g = rep("first_x"), rep("last_x"), rep("intercept"), rep("final_y")
-    dx = np.maximum(l - f, 1)
-    pred = np.where(l == f, b, (xs - f) * (g - b) // dx + b)
-    err = np.abs(pred - truth)
-    bad = np.nonzero(err > store.epsilon_eff)[0]
-    if bad.size:
-        for j in bad[:20]:
-            print(f"violation at x={int(xs[j])}: predicted {int(pred[j])}, "
-                  f"true {int(truth[j])}, epsilon_eff {store.epsilon_eff}")
-        print(f"FAIL: {bad.size} of {store.n} points exceed epsilon_eff={store.epsilon_eff}")
-        return 1
-    print(f"OK: all {store.n} points within epsilon_eff={store.epsilon_eff}")
-    return 0
+    if verify_error(Pla(segments, store.epsilon, store.epsilon_eff, setting), points) <= store.epsilon_eff:
+        print(f"OK: all {store.n} points within epsilon_eff={store.epsilon_eff}")
+        return 0
+    xs, ys = points.plane_points()
+    bad = []
+    for seg in segments:
+        span = range(seg.first_x - 1, seg.last_x) if setting == COMPRESSION else range(seg.first_y - 1, seg.last_y)
+        for j in span:
+            pred = interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, xs[j])
+            if abs(pred - ys[j]) > store.epsilon_eff:
+                bad.append((xs[j], pred, ys[j]))
+    for x, pred, truth in bad[:20]:
+        print(f"violation at x={x}: predicted {pred}, true {truth}, epsilon_eff {store.epsilon_eff}")
+    print(f"FAIL: {len(bad)} of {store.n} points exceed epsilon_eff={store.epsilon_eff}")
+    return 1
 
 
 def _read_vector(path):

@@ -1,15 +1,41 @@
-"""Shared plumbing for the two store containers: signed-delta packing,
-sampled offsets of the variable-width B fields, size accounting, query
-instrumentation, and the file envelope.
+"""The PLA container shared by both settings, and its plumbing:
+signed-delta packing, sampled offsets of the variable-width B fields,
+size accounting, query instrumentation, and the file envelope.
 
-File layout (format version 2), identical for both containers apart from
-the magic: magic (4 bytes) | version u8 | mode u8 | n, u, ell, epsilon,
-epsilon_eff, w_delta as little-endian u64 | six length-prefixed (u32)
-component payloads X, Y, B, P, delta_beta, delta_gamma.  Components are
-stored in raw form: every length that can be derived from the header is
-omitted from the payload, and so is every value the other components
-determine (the first select sample of a directory, the offsets of the B
-fields between samples, the total length of B).
+A PLA is a list of segments over points (x, y).  One axis is the *value
+axis*, which holds the sequence values and ends at u (Y in compression,
+X in indexing); the other is the *position axis*, which holds the ranks
+1..n.  Segment i covers x_i..x'_i and y_i..y'_i and stores the integer
+anchors beta_i (at x_i) and gamma_i (at x'_i).  The container keeps six
+components:
+
+* X, Y -- the first coordinates c_1 <= ... <= c_l of each axis, as the
+  Elias-Fano sequence of c_i - shift*(i-1) - skip for i > skip.  The
+  position axis has skip = 1: its c_1 = 1 is implicit.  In rs mode X is
+  instead a bitvector with a one at c_i - 1 - skip for i > skip and a
+  rank directory, so the covering segment is one rank;
+* B -- the last value-axis coordinate v'_i of each non-final segment, as
+  v'_i - v_i - b in bit_length(v_{i+1} - v_i - 2b) bits, concatenated;
+  v'_l = u is implicit.  On the position axis p'_i = p_{i+1} - 1 and
+  p'_l = n, so nothing is stored for it;
+* P -- the absolute start offset of every 8th B field (FieldOffsets);
+* delta_beta, delta_gamma -- w_delta-bit zig-zag deltas of beta_i against
+  y_i and of gamma_i against y'_i, where w_delta fits 2*epsilon_eff.
+
+Each setting supplies its axis rule (a PlaContainer subclass):
+
+    setting      magic  value axis  position shift  value shift  b  rs bitvector length
+    compression  PLAC   Y           1               0            0  n - 1, derived
+    indexing     PLAI   X           2e - 1          2e - 1       1  max(u - 2e + 1, x_l), stored
+
+File layout (format version 2): magic (4 bytes) | version u8 | mode u8 |
+n, u, ell, epsilon, epsilon_eff, w_delta as little-endian u64 | the six
+components X, Y, B, P, delta_beta, delta_gamma, each prefixed by its
+length as a u32.  Components are stored in raw form: every length that
+can be derived from the header is omitted from the payload, and so is
+every value the other components determine (the first select sample of a
+directory, the offsets of the B fields between samples, the total length
+of B).
 """
 
 from __future__ import annotations
@@ -18,7 +44,8 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import FormatError
-from .succinct import PackedIntArray
+from .pla import Segment, interpolate
+from .succinct import BitVector, BitWriter, EliasFano, PackedIntArray, RankSelectIndex
 
 FORMAT_VERSION = 2
 
@@ -32,6 +59,7 @@ _MODE_NAME = {0: MODE_EF, 1: MODE_RS}
 
 ENVELOPE_FMT = "<4sBB6Q"
 ENVELOPE_BYTES = struct.calcsize(ENVELOPE_FMT)
+N_COMPONENTS = 6
 
 
 def zigzag(d: int) -> int:
@@ -150,10 +178,6 @@ class ProbeCounter:
         self.primitives = 0
         self.search_steps = 0
 
-    def reset(self):
-        self.primitives = 0
-        self.search_steps = 0
-
 
 @dataclass
 class BitBudget:
@@ -239,3 +263,291 @@ def unpack_components(data, off: int, count: int):
     if off != len(data):
         raise FormatError(f"{len(data) - off} trailing bytes after last component")
     return parts
+
+
+class Axis:
+    """One axis's first coordinates c_1 <= ... <= c_ell (see module
+    docstring).  skip, shift and end are its rule; once bound to the
+    stored sequence s, `select(k)` reads s_k, `run(k, count)` a run of
+    them, and c_i = s_{i-skip} + shift*(i-1) + base."""
+
+    __slots__ = ("skip", "shift", "end", "select", "run", "base")
+
+    def __init__(self, skip, shift, end, select=None, run=None, base=0):
+        self.skip = skip  # 1 on the position axis, whose first coordinate 1 is implicit
+        self.shift = shift
+        self.end = end  # the axis's last coordinate: u on the value axis, n on the other
+        self.select = select
+        self.run = run
+        self.base = base
+
+    def universe(self, ell):
+        return max(1, self.end - self.shift * (ell - 1) + 1 - self.skip)
+
+    def encode(self, coords):
+        skip, shift = self.skip, self.shift
+        return EliasFano.encode([coords[i] - shift * i - skip for i in range(skip, len(coords))],
+                                self.universe(len(coords)))
+
+    def bind(self, ef):
+        """This axis read from its Elias-Fano sequence."""
+        return Axis(self.skip, self.shift, self.end, ef.select, ef.select_run, self.skip)
+
+    def bind_bits(self, rs):
+        """This axis read from a bitvector with a one at c_i - 1 - skip."""
+        return Axis(self.skip, 0, self.end, rs.select1, rs.select_run, 1 + self.skip)
+
+    def first(self, i, probes=None):
+        """c_i."""
+        skip = self.skip
+        if i <= skip:
+            return 1
+        if probes is not None:
+            probes.primitives += 1
+        return self.select(i - skip) + self.shift * (i - 1) + self.base
+
+    def pair(self, i, probes=None):
+        """(c_i, c_{i+1}) for i < ell: one select and a scan to the next
+        one-bit."""
+        skip = self.skip
+        if probes is not None:
+            probes.primitives += 1 + (i > skip)
+        if i <= skip:
+            return 1, self.first(i + 1)
+        a, b = self.run(i - skip, 2)
+        shift = self.shift
+        base = self.base
+        return a + shift * (i - 1) + base, b + shift * i + base
+
+
+class PlaContainer:
+    """Immutable PLA container; see module docstring.  A subclass per
+    setting supplies the axis rule: MAGIC, SETTING, VALUE_AXIS ("x" or
+    "y"), shifts(epsilon) -> (position shift, value shift), B_BIAS (b),
+    RS_LENGTH_STORED, GAMMA_LAST (whether size_bits reports gamma_l as its
+    own component), check_segments and range_error."""
+
+    __slots__ = ("mode", "n", "u", "ell", "epsilon", "epsilon_eff", "w_delta",
+                 "x_ef", "x_bv", "x_rs", "y_ef", "b_bits", "p_ef", "d_beta", "d_gamma",
+                 "x_axis", "y_axis", "value_axis", "position_axis")
+
+    def __init__(self, mode, header, x_ef, x_bv, x_rs, y_ef):
+        """The coordinate components; the caller sets b_bits, p_ef, d_beta
+        and d_gamma."""
+        self.mode = mode
+        self.n, self.u, self.ell, self.epsilon, self.epsilon_eff, self.w_delta = header
+        self.x_ef = x_ef
+        self.x_bv = x_bv
+        self.x_rs = x_rs
+        self.y_ef = y_ef
+        xr, yr = self.axis_rules(self.n, self.u, self.epsilon)
+        self.x_axis = xr.bind(x_ef) if mode == MODE_EF else xr.bind_bits(x_rs)
+        self.y_axis = yr.bind(y_ef)
+        if self.VALUE_AXIS == "x":
+            self.value_axis, self.position_axis = self.x_axis, self.y_axis
+        else:
+            self.value_axis, self.position_axis = self.y_axis, self.x_axis
+
+    @classmethod
+    def axis_rules(cls, n, u, epsilon):
+        """The unbound Axis of X and of Y."""
+        position_shift, value_shift = cls.shifts(epsilon)
+        value, position = Axis(0, value_shift, u), Axis(1, position_shift, n)
+        return (value, position) if cls.VALUE_AXIS == "x" else (position, value)
+
+    def header(self):
+        return (self.n, self.u, self.ell, self.epsilon, self.epsilon_eff, self.w_delta)
+
+    # -- encoding ------------------------------------------------------------
+
+    @classmethod
+    def from_pla(cls, pla, points, mode):
+        """Pack a PLA over `points`, after the setting's segment checks."""
+        if mode not in (MODE_EF, MODE_RS):
+            raise ValueError(f"unknown mode {mode!r}")
+        ell = pla.ell
+        if ell < 1:
+            raise ValueError("cannot encode an empty PLA")
+        n = points.n
+        u = points.values[-1]  # container universe: the final sequence value
+        segs = pla.segments
+        cls.check_segments(segs, n, u, pla.epsilon)
+
+        xr, yr = cls.axis_rules(n, u, pla.epsilon)
+        firsts_x = [s.first_x for s in segs]
+        firsts_y = [s.first_y for s in segs]
+        x_ef = x_bv = x_rs = None
+        if mode == MODE_EF:
+            x_ef = xr.encode(firsts_x)
+        else:
+            x_len = max(xr.end - xr.shift, firsts_x[-1]) if cls.RS_LENGTH_STORED else max(0, xr.end - xr.skip)
+            x_bv = BitVector.from_ones(x_len, [x - 1 - xr.skip for x in firsts_x[xr.skip:]])
+            x_rs = RankSelectIndex(x_bv)
+        w_delta = (2 * pla.epsilon_eff).bit_length()
+        header = (n, u, ell, pla.epsilon, pla.epsilon_eff, w_delta)
+        store = cls(mode, header, x_ef, x_bv, x_rs, yr.encode(firsts_y))
+
+        if cls.VALUE_AXIS == "x":
+            firsts, lasts = firsts_x, [s.last_x for s in segs]
+        else:
+            firsts, lasts = firsts_y, [s.last_y for s in segs]
+        b = cls.B_BIAS
+        writer = BitWriter()
+        offsets = []
+        for i in range(ell - 1):
+            offsets.append(writer.bit_length)
+            writer.append_field(lasts[i] - firsts[i] - b, (firsts[i + 1] - firsts[i] - 2 * b).bit_length())
+        store.b_bits = writer.to_bitvector()
+        store.p_ef = FieldOffsets.encode(offsets, store.b_bits.nbits, *store.field_coords())
+
+        max_code = (1 << w_delta) - 1
+        db = []
+        dg = []
+        for s in segs:
+            zb = zigzag(s.intercept - s.first_y)
+            zg = zigzag(s.final_y - s.last_y)
+            if zb > max_code or zg > max_code:
+                raise ValueError("anchor delta exceeds the recorded effective error")
+            db.append(zb)
+            dg.append(zg)
+        store.d_beta = PackedIntArray.from_values(db, w_delta)
+        store.d_gamma = PackedIntArray.from_values(dg, w_delta)
+        return store
+
+    def field_coords(self):
+        """FieldOffsets' coordinate reader over the stored value-axis
+        coordinates, and the bias that turns their gaps into B widths."""
+        va = self.value_axis
+        return va.run, 2 * self.B_BIAS - va.shift
+
+    # -- decoding ------------------------------------------------------------
+
+    def segment_of(self, x, probes=None):
+        """Ordinal of the segment whose first x-coordinate is the largest
+        <= x."""
+        ax = self.x_axis
+        if x < 1 or x > ax.end:
+            raise IndexError(self.range_error(x))
+        skip = ax.skip
+        if self.mode == MODE_RS:
+            if probes is not None:
+                probes.primitives += 1
+            i = skip + self.x_rs.rank1(min(x - skip, self.x_bv.nbits))
+            if i:
+                return i
+        elif skip or x >= ax.first(1, probes):
+            # binary search over the stored ordinals k = i - skip:
+            # c_i <= x iff s_k + shift*k <= x - base - shift*(skip - 1)
+            shift = ax.shift
+            target = x - ax.base - shift * (skip - 1)
+            lo, hi = 1 - skip, self.ell - skip
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if probes is not None:
+                    probes.primitives += 1
+                    probes.search_steps += 1
+                if self.x_ef.select(mid) + shift * mid <= target:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            return lo + skip
+        raise IndexError(self.range_error(x))
+
+    def decode_segment(self, i, probes=None):
+        """Exact reconstruction of the i-th stored segment tuple."""
+        if not 1 <= i <= self.ell:
+            raise IndexError(f"segment ordinal {i} out of range [1, {self.ell}]")
+        va = self.value_axis
+        if i < self.ell:
+            c_i, start, width = self.p_ef.field(i, probes)
+            v_i = c_i + va.shift * (i - 1) + va.base
+            v_last = v_i + self.B_BIAS + self.b_bits.read_field(start, width)
+            p_i, p_last = self.position_axis.pair(i, probes)
+            p_last -= 1
+            if probes is not None:
+                probes.primitives += 3
+        else:
+            v_i, v_last = va.first(i, probes), self.u
+            p_i, p_last = self.position_axis.first(i, probes), self.n
+            if probes is not None:
+                probes.primitives += 2
+        if self.VALUE_AXIS == "x":
+            x_i, x_last, y_i, y_last = v_i, v_last, p_i, p_last
+        else:
+            x_i, x_last, y_i, y_last = p_i, p_last, v_i, v_last
+        beta = y_i + unzigzag(self.d_beta.get(i - 1))
+        gamma = y_last + unzigzag(self.d_gamma.get(i - 1))
+        return Segment(first_x=x_i, last_x=x_last, intercept=beta,
+                       final_y=gamma, first_y=y_i, last_y=y_last)
+
+    def predict(self, x, probes=None):
+        """Approximate y at x."""
+        seg = self.decode_segment(self.segment_of(x, probes), probes)
+        return interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, x)
+
+    def decode_all_segments(self):
+        return [self.decode_segment(i) for i in range(1, self.ell + 1)]
+
+    # -- size accounting and serialization -----------------------------------
+
+    def size_bits(self) -> BitBudget:
+        """Exact per-component bit accounting of the serialized container."""
+        budget = BitBudget(setting=self.SETTING, mode=self.mode)
+        c = budget.components
+        c["header"] = ENVELOPE_BYTES * 8 + 32 * N_COMPONENTS
+        if self.mode == MODE_EF:
+            x, x_index, x_length_bits = self.x_ef, self.x_ef, 0
+        else:
+            x, x_index, x_length_bits = self.x_bv, self.x_rs, 32 * self.RS_LENGTH_STORED
+        parts = {"x": x, "y": self.y_ef, "b": self.b_bits, "p": self.p_ef,
+                 "delta_beta": self.d_beta, "delta_gamma": self.d_gamma}
+        for name, part in parts.items():
+            c[name] = part.payload_bits()
+            budget.padding_bits += part.padding_bits()
+        if self.GAMMA_LAST:
+            c["delta_gamma"] -= self.w_delta
+            c["gamma_last"] = self.w_delta
+        c["aux"] = x_index.aux_bits() + x_length_bits + self.y_ef.aux_bits()
+        return budget
+
+    def to_bytes(self) -> bytes:
+        if self.mode == MODE_EF:
+            x_raw = self.x_ef.to_bytes_raw()
+        else:
+            x_raw = self.x_bv.to_bytes_raw() + self.x_rs.to_bytes_raw()
+            if self.RS_LENGTH_STORED:
+                x_raw = struct.pack("<I", self.x_bv.nbits) + x_raw
+        parts = [
+            x_raw,
+            self.y_ef.to_bytes_raw(),
+            self.b_bits.to_bytes_raw(),
+            self.p_ef.to_bytes_raw(),
+            self.d_beta.to_bytes_raw(),
+            self.d_gamma.to_bytes_raw(),
+        ]
+        return pack_envelope(self.MAGIC, self.mode, self.header()) + pack_components(parts)
+
+    @classmethod
+    def from_parts(cls, mode, header, parts):
+        """The container from its envelope and its component payloads."""
+        n, u, ell, epsilon, epsilon_eff, w_delta = header
+        xr, yr = cls.axis_rules(n, u, epsilon)
+        x_ef = x_bv = x_rs = None
+        if mode == MODE_EF:
+            x_ef, _ = EliasFano.from_bytes_raw(parts[0], 0, ell - xr.skip, xr.universe(ell))
+        else:
+            off = 0
+            if cls.RS_LENGTH_STORED:
+                (x_len,) = struct.unpack_from("<I", parts[0], 0)
+                off = 4
+            else:
+                x_len = max(0, xr.end - xr.skip)
+            x_bv, off = BitVector.from_bytes_raw(parts[0], off, x_len)
+            x_rs, _ = RankSelectIndex.from_bytes_raw(x_bv, ell - xr.skip, parts[0], off)
+        y_ef, _ = EliasFano.from_bytes_raw(parts[1], 0, ell - yr.skip, yr.universe(ell))
+        store = cls(mode, header, x_ef, x_bv, x_rs, y_ef)
+        store.p_ef = FieldOffsets.from_bytes_raw(parts[3], ell, *store.field_coords())
+        store.b_bits, _ = BitVector.from_bytes_raw(parts[2], 0, store.p_ef.total)
+        store.d_beta, _ = PackedIntArray.from_bytes_raw(parts[4], 0, ell, w_delta)
+        store.d_gamma, _ = PackedIntArray.from_bytes_raw(parts[5], 0, ell, w_delta)
+        return store

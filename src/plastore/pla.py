@@ -33,6 +33,7 @@ INDEXING = "indexing"
 SETTINGS = (COMPRESSION, INDEXING)
 
 _NP_SCAN_MIN = 48  # below this segment length a plain loop beats numpy
+_INT64_SAFE = 1 << 62  # numpy scans only magnitudes below this, so no int64 sum overflows
 
 
 class PointSeq:
@@ -205,10 +206,20 @@ def interpolate(first_x: int, last_x: int, beta: int, gamma: int, x: int) -> int
     return (x - first_x) * (gamma - beta) // (last_x - first_x) + beta
 
 
+def _scan_arrays(xs, ys):
+    """The plane points as int64 arrays if every coordinate fits, else the
+    lists themselves, which _segment_max_error scans with Python ints."""
+    if xs and max(xs[-1], ys[-1]) < _INT64_SAFE:
+        return np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+    return xs, ys
+
+
 def _segment_max_error(xs_arr, ys_arr, s, e, x0, x1, beta, gamma):
     if e == s:
         return abs(beta - int(ys_arr[s]))
-    if e - s + 1 < _NP_SCAN_MIN:
+    # numpy only where every (x - x0)*(gamma - beta) // dx + beta fits in int64
+    if (e - s + 1 < _NP_SCAN_MIN or isinstance(xs_arr, list)
+            or (x1 - x0) * abs(gamma - beta) + abs(beta) >= _INT64_SAFE):
         dy = gamma - beta
         dx = x1 - x0
         worst = 0
@@ -236,14 +247,13 @@ def round_to_integer_endpoints(fpla: FeasiblePla, points: PointSeq, policy: str 
     The representative line is the midpoint of the feasible slope interval
     with the intercept centered in its own feasible range; its values at
     the first and last covered x are rounded to the nearest integers.
-    The resulting maximum error is recomputed by a full scan and asserted
+    The resulting maximum error is recomputed by a full scan and checked
     to stay within epsilon + 3.
     """
     if policy != "nearest":
         raise ValueError(f"unknown rounding policy {policy!r}")
     xs, ys = points.plane_points()
-    xs_arr = np.asarray(xs, dtype=np.int64)
-    ys_arr = np.asarray(ys, dtype=np.int64)
+    xs_arr, ys_arr = _scan_arrays(xs, ys)
     eps = fpla.epsilon
     segments = []
     eps_eff = 0
@@ -275,29 +285,11 @@ def round_to_integer_endpoints(fpla: FeasiblePla, points: PointSeq, policy: str 
         err = _segment_max_error(xs_arr, ys_arr, s, e, xs[s], xs[e], beta, gamma)
         if err > eps_eff:
             eps_eff = err
-        segments.append(_make_segment(points, s, e, beta, gamma))
-    assert eps_eff <= eps + 3, f"rounded error {eps_eff} exceeds epsilon + 3"
+        segments.append(Segment(first_x=xs[s], last_x=xs[e], intercept=beta, final_y=gamma,
+                                first_y=ys[s], last_y=ys[e]))
+    if eps_eff > eps + 3:
+        raise RuntimeError(f"rounded error {eps_eff} exceeds epsilon + 3")
     return Pla(segments, eps, eps_eff, fpla.setting)
-
-
-def _make_segment(points: PointSeq, s: int, e: int, beta: int, gamma: int) -> Segment:
-    if points.setting == COMPRESSION:
-        return Segment(
-            first_x=s + 1,
-            last_x=e + 1,
-            intercept=beta,
-            final_y=gamma,
-            first_y=points.values[s],
-            last_y=points.values[e],
-        )
-    return Segment(
-        first_x=points.values[s],
-        last_x=points.values[e],
-        intercept=beta,
-        final_y=gamma,
-        first_y=s + 1,
-        last_y=e + 1,
-    )
 
 
 def build_optimal_pla(points: PointSeq, epsilon: int) -> Pla:
@@ -306,12 +298,11 @@ def build_optimal_pla(points: PointSeq, epsilon: int) -> Pla:
         raise ValueError("epsilon must be an integer >= 1")
     if points.n == 0:
         raise ValueError("cannot build a PLA over an empty sequence")
+    xs, ys = points.plane_points()
     if points.n == 1:
         # one-point segment: both anchors equal the single true ordinate
-        _, ys1 = points.plane_points()
-        seg = _make_segment(points, 0, 0, ys1[0], ys1[0])
+        seg = Segment(first_x=xs[0], last_x=xs[0], intercept=ys[0], final_y=ys[0], first_y=ys[0], last_y=ys[0])
         return Pla([seg], epsilon, 0, points.setting)
-    xs, ys = points.plane_points()
     spans, slopes = optimal_spans(xs, ys, epsilon)
     fpla = FeasiblePla(spans, slopes, epsilon, points.setting)
     return round_to_integer_endpoints(fpla, points)
@@ -323,8 +314,7 @@ def verify_error(pla: Pla, points: PointSeq) -> int:
     Raises CoverageError if the segments do not partition the sequence.
     """
     xs, ys = points.plane_points()
-    xs_arr = np.asarray(xs, dtype=np.int64)
-    ys_arr = np.asarray(ys, dtype=np.int64)
+    xs_arr, ys_arr = _scan_arrays(xs, ys)
     n = points.n
     worst = 0
     next_idx = 0

@@ -1,289 +1,69 @@
 """Succinct container for compression-setting PLAs.
 
-A PLA over points (position, value) is stored as six components:
-
-* X — the first covered position of each segment but the first, as an
-  Elias-Fano sequence of the shifted values x_{i+1} - i - 1 (ef mode) or
-  as a plain length-(n-1) bitvector with a rank directory (rs mode);
-* Y — Elias-Fano over the first covered values y_1 <= ... <= y_l;
-* B — the last covered value of each non-final segment, encoded relative
-  to [y_i, y_{i+1}] in ceil(log2(y_{i+1}-y_i+1)) bits and concatenated;
-* P — the absolute start offset of every 8th B field (see
-  container.FieldOffsets); the offsets in between, and |B| itself, are
-  rebuilt from the Y gaps, which fix every field's width;
-* delta_beta / delta_gamma — fixed-width zig-zag deltas of the segment
-  anchors against y_i and y'_i.
-
-The last segment's final covered value is not stored: it always equals
-the container universe u, which encode_c normalizes to the sequence's
-final value.  predict interpolates between (x_i, beta_i) and the last
-covered position (x_{i+1}-1, gamma_i), so both anchors are reproduced
-exactly at the endpoints.
+Points are (position, value): X is the position axis and Y the value
+axis, so B holds the last covered value y'_i of each non-final segment.
+Non-final segments cover at least 2 positions, so X shifts its first
+positions by 1 per segment.  The layout is in container.py.
 """
 
 from __future__ import annotations
 
 from .container import (
-    MODE_EF,
-    MODE_RS,
-    BitBudget,
     ENVELOPE_BYTES,
-    FieldOffsets,
-    pack_components,
-    pack_envelope,
+    MODE_EF,
+    N_COMPONENTS,
+    PlaContainer,
     unpack_components,
     unpack_envelope,
-    unzigzag,
-    zigzag,
 )
-from .pla import COMPRESSION, Pla, PointSeq, Segment, interpolate
-from .succinct import BitVector, BitWriter, EliasFano, PackedIntArray, RankSelectIndex
-
-MAGIC = b"PLAC"
-_N_COMPONENTS = 6
+from .pla import COMPRESSION, Pla, PointSeq
 
 
-class CompressedPlaC:
-    """Immutable compression-setting container; see module docstring."""
+class CompressedPlaC(PlaContainer):
+    """Compression-setting container: predicts a value from a position."""
 
-    __slots__ = ("mode", "n", "u", "ell", "epsilon", "epsilon_eff", "w_delta",
-                 "x_ef", "x_bv", "x_rs", "y_ef", "b_bits", "p_ef", "d_beta", "d_gamma")
+    __slots__ = ()
 
-    def __init__(self, mode, header, x_ef, x_bv, x_rs, y_ef, b_bits, p_ef, d_beta, d_gamma):
-        self.mode = mode
-        self.n, self.u, self.ell, self.epsilon, self.epsilon_eff, self.w_delta = header
-        self.x_ef = x_ef
-        self.x_bv = x_bv
-        self.x_rs = x_rs
-        self.y_ef = y_ef
-        self.b_bits = b_bits
-        self.p_ef = p_ef
-        self.d_beta = d_beta
-        self.d_gamma = d_gamma
+    MAGIC = b"PLAC"
+    SETTING = COMPRESSION
+    VALUE_AXIS = "y"
+    B_BIAS = 0
+    RS_LENGTH_STORED = False
+    GAMMA_LAST = False
 
-    def header(self):
-        return (self.n, self.u, self.ell, self.epsilon, self.epsilon_eff, self.w_delta)
+    @staticmethod
+    def shifts(epsilon):
+        return 1, 0
 
-    # -- decoding ----------------------------------------------------------
+    @staticmethod
+    def check_segments(segs, n, u, epsilon):
+        if segs[0].first_x != 1:
+            raise ValueError("first segment must start at position 1")
+        for i in range(len(segs) - 1):
+            if segs[i + 1].first_x - segs[i].first_x < 2:
+                raise ValueError("non-final segments must cover at least 2 positions")
+            if segs[i + 1].first_x != segs[i].last_x + 1:
+                raise ValueError("segments must partition the position axis")
+        if segs[-1].last_x != n or segs[-1].last_y != u:
+            raise ValueError("last segment must end at position n / value u")
 
-    def first_x(self, i, probes=None):
-        """First covered position of segment i."""
-        if i == 1:
-            return 1
-        if probes is not None:
-            probes.primitives += 1
-        if self.mode == MODE_EF:
-            return self.x_ef.select(i - 1) + i
-        return self.x_rs.select1(i - 1) + 2
-
-    def first_x_pair(self, i, probes=None):
-        """(x_i, x_{i+1}) for i < ell: one select and a scan to the next
-        one-bit."""
-        if probes is not None:
-            probes.primitives += 1 + (i > 1)
-        if i == 1:
-            return 1, self.first_x(2)
-        if self.mode == MODE_EF:
-            a, b = self.x_ef.select_run(i - 1, 2)
-            return a + i, b + i + 1
-        a, b = self.x_rs.select_run(i - 1, 2)
-        return a + 2, b + 2
-
-    def first_y(self, i, probes=None):
-        if probes is not None:
-            probes.primitives += 1
-        return self.y_ef.select(i)
-
-    def first_and_last_value(self, i, probes=None):
-        """(y_i, y'_i): the first and the final sequence value covered by
-        segment i."""
-        if i == self.ell:
-            return self.first_y(i, probes), self.u
-        y_i, start, width = self.p_ef.field(i, probes)
-        if probes is not None:
-            probes.primitives += 1
-        return y_i, y_i + self.b_bits.read_field(start, width)
-
-    def segment_of(self, x, probes=None):
-        if not 1 <= x <= self.n:
-            raise IndexError(f"position {x} out of range [1, {self.n}]")
-        if self.mode == MODE_RS:
-            if probes is not None:
-                probes.primitives += 1
-            return self.x_rs.rank1(x - 1) + 1
-        lo, hi = 1, self.ell
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if probes is not None:
-                probes.primitives += 1
-                probes.search_steps += 1
-            if self.x_ef.select(mid - 1) + mid <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def decode_segment(self, i, probes=None):
-        if not 1 <= i <= self.ell:
-            raise IndexError(f"segment ordinal {i} out of range [1, {self.ell}]")
-        if i < self.ell:
-            x_i, x_next = self.first_x_pair(i, probes)
-        else:
-            x_i, x_next = self.first_x(i, probes), self.n + 1
-        y_i, y_last = self.first_and_last_value(i, probes)
-        if probes is not None:
-            probes.primitives += 2
-        beta = y_i + unzigzag(self.d_beta.get(i - 1))
-        gamma = y_last + unzigzag(self.d_gamma.get(i - 1))
-        return Segment(first_x=x_i, last_x=x_next - 1, intercept=beta,
-                       final_y=gamma, first_y=y_i, last_y=y_last)
-
-    def predict(self, x, probes=None):
-        i = self.segment_of(x, probes)
-        seg = self.decode_segment(i, probes)
-        return interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, x)
-
-    def decode_all_segments(self):
-        return [self.decode_segment(i) for i in range(1, self.ell + 1)]
-
-    # -- size accounting and serialization ----------------------------------
-
-    def size_bits(self) -> BitBudget:
-        budget = BitBudget(setting=COMPRESSION, mode=self.mode)
-        c = budget.components
-        c["header"] = ENVELOPE_BYTES * 8 + 32 * _N_COMPONENTS
-        aux = 0
-        padding = 0
-        if self.mode == MODE_EF:
-            c["x"] = self.x_ef.payload_bits()
-            aux += self.x_ef.aux_bits()
-            padding += self.x_ef.padding_bits()
-        else:
-            c["x"] = self.x_bv.payload_bits()
-            aux += self.x_rs.aux_bits()
-            padding += self.x_bv.padding_bits()
-        c["y"] = self.y_ef.payload_bits()
-        aux += self.y_ef.aux_bits()
-        padding += self.y_ef.padding_bits()
-        c["b"] = self.b_bits.payload_bits()
-        padding += self.b_bits.padding_bits()
-        c["p"] = self.p_ef.payload_bits()
-        padding += self.p_ef.padding_bits()
-        c["delta_beta"] = self.d_beta.payload_bits()
-        c["delta_gamma"] = self.d_gamma.payload_bits()
-        padding += self.d_beta.padding_bits() + self.d_gamma.padding_bits()
-        c["aux"] = aux
-        budget.padding_bits = padding
-        return budget
-
-    def to_bytes(self) -> bytes:
-        if self.mode == MODE_EF:
-            x_raw = self.x_ef.to_bytes_raw()
-        else:
-            x_raw = self.x_bv.to_bytes_raw() + self.x_rs.to_bytes_raw()
-        parts = [
-            x_raw,
-            self.y_ef.to_bytes_raw(),
-            self.b_bits.to_bytes_raw(),
-            self.p_ef.to_bytes_raw(),
-            self.d_beta.to_bytes_raw(),
-            self.d_gamma.to_bytes_raw(),
-        ]
-        return pack_envelope(MAGIC, self.mode, self.header()) + pack_components(parts)
+    def range_error(self, x):
+        return f"position {x} out of range [1, {self.n}]"
 
     @classmethod
     def from_bytes(cls, data) -> "CompressedPlaC":
-        mode, header = unpack_envelope(MAGIC, data)
-        n, u, ell, epsilon, epsilon_eff, w_delta = header
-        parts = unpack_components(data, ENVELOPE_BYTES, _N_COMPONENTS)
-        x_ef = x_bv = x_rs = None
-        if mode == MODE_EF:
-            x_ef, _ = EliasFano.from_bytes_raw(parts[0], 0, ell - 1, max(1, n - ell + 1))
-        else:
-            x_bv, off = BitVector.from_bytes_raw(parts[0], 0, max(0, n - 1))
-            x_rs, _ = RankSelectIndex.from_bytes_raw(x_bv, ell - 1, parts[0], off)
-        y_ef, _ = EliasFano.from_bytes_raw(parts[1], 0, ell, u + 1)
-        p_ef = FieldOffsets.from_bytes_raw(parts[3], ell, y_ef.select_run, 0)
-        b_bits, _ = BitVector.from_bytes_raw(parts[2], 0, p_ef.total)
-        d_beta, _ = PackedIntArray.from_bytes_raw(parts[4], 0, ell, w_delta)
-        d_gamma, _ = PackedIntArray.from_bytes_raw(parts[5], 0, ell, w_delta)
-        return cls(mode, header, x_ef, x_bv, x_rs, y_ef, b_bits, p_ef, d_beta, d_gamma)
+        mode, header = unpack_envelope(cls.MAGIC, data)
+        return cls.from_parts(mode, header, unpack_components(data, ENVELOPE_BYTES, N_COMPONENTS))
 
 
 def encode_c(pla: Pla, points: PointSeq, mode: str = MODE_EF) -> CompressedPlaC:
     """Pack a compression-setting PLA into its succinct container."""
     if pla.setting != COMPRESSION or points.setting != COMPRESSION:
         raise ValueError("encode_c requires a compression-setting PLA and sequence")
-    if mode not in (MODE_EF, MODE_RS):
-        raise ValueError(f"unknown mode {mode!r}")
-    ell = pla.ell
-    if ell < 1:
-        raise ValueError("cannot encode an empty PLA")
-    n = points.n
-    u = points.values[-1]  # container universe: the final sequence value
-    segs = pla.segments
-    if segs[0].first_x != 1:
-        raise ValueError("first segment must start at position 1")
-    for i in range(ell - 1):
-        if segs[i + 1].first_x - segs[i].first_x < 2:
-            raise ValueError("non-final segments must cover at least 2 positions")
-        if segs[i + 1].first_x != segs[i].last_x + 1:
-            raise ValueError("segments must partition the position axis")
-    if segs[-1].last_x != n or segs[-1].last_y != u:
-        raise ValueError("last segment must end at position n / value u")
-
-    w_delta = (2 * pla.epsilon_eff).bit_length()
-    firsts_x = [s.first_x for s in segs]
-    firsts_y = [s.first_y for s in segs]
-
-    x_ef = x_bv = x_rs = None
-    if mode == MODE_EF:
-        x_ef = EliasFano.encode([firsts_x[i] - i - 1 for i in range(1, ell)], max(1, n - ell + 1))
-    else:
-        x_bv = BitVector.from_ones(max(0, n - 1), [x - 2 for x in firsts_x[1:]])
-        x_rs = RankSelectIndex(x_bv)
-    y_ef = EliasFano.encode(firsts_y, u + 1)
-
-    writer = BitWriter()
-    offsets = []
-    for i in range(ell - 1):
-        offsets.append(writer.bit_length)
-        writer.append_field(segs[i].last_y - firsts_y[i], (firsts_y[i + 1] - firsts_y[i]).bit_length())
-    b_bits = writer.to_bitvector()
-    p_ef = FieldOffsets.encode(offsets, b_bits.nbits, y_ef.select_run, 0)
-
-    max_code = (1 << w_delta) - 1
-    db = []
-    dg = []
-    for s in segs:
-        zb = zigzag(s.intercept - s.first_y)
-        zg = zigzag(s.final_y - s.last_y)
-        if zb > max_code or zg > max_code:
-            raise ValueError("anchor delta exceeds the recorded effective error")
-        db.append(zb)
-        dg.append(zg)
-    d_beta = PackedIntArray.from_values(db, w_delta)
-    d_gamma = PackedIntArray.from_values(dg, w_delta)
-
-    header = (n, u, ell, pla.epsilon, pla.epsilon_eff, w_delta)
-    return CompressedPlaC(mode, header, x_ef, x_bv, x_rs, y_ef, b_bits, p_ef, d_beta, d_gamma)
+    return CompressedPlaC.from_pla(pla, points, mode)
 
 
-def segment_of_c(store: CompressedPlaC, x: int, probes=None) -> int:
-    """Ordinal of the segment covering position x."""
-    return store.segment_of(x, probes)
-
-
-def decode_segment_c(store: CompressedPlaC, i: int, probes=None) -> Segment:
-    """Exact reconstruction of the i-th stored segment tuple."""
-    return store.decode_segment(i, probes)
-
-
-def predict_c(store: CompressedPlaC, x: int, probes=None) -> int:
-    """Approximate sequence value at position x."""
-    return store.predict(x, probes)
-
-
-def size_bits_c(store: CompressedPlaC) -> BitBudget:
-    """Exact per-component bit accounting of the serialized container."""
-    return store.size_bits()
+segment_of_c = CompressedPlaC.segment_of
+decode_segment_c = CompressedPlaC.decode_segment
+predict_c = CompressedPlaC.predict
+size_bits_c = CompressedPlaC.size_bits

@@ -1,320 +1,75 @@
 """Succinct container for indexing-setting PLAs.
 
-A PLA over points (key, position) is stored much like the compression
-container, with the roles of the axes swapped and the segment-width
-guarantees of the indexing setting baked into the layout:
-
-* X — first covered keys; ef mode keeps the shifted values
-  x_i - (2e-1)(i-1) in an Elias-Fano sequence, rs mode keeps the keys
-  themselves as a plain bitvector with a rank directory so the covering
-  segment is one rank;
-* Y — first covered positions via the shifted values
-  y_{i+1} - 1 - (2e-1)*i;
-* B — last covered keys x'_i relative to [x_i+1, x_{i+1}-1] in
-  ceil(log2(x_{i+1}-x_i-1)) bits, concatenated (x'_l = u is implicit);
-* P — the absolute start offset of every 8th B field (see
-  container.FieldOffsets); the offsets in between, and |B| itself, are
-  rebuilt from the X gaps, which fix every field's width;
-* delta arrays — beta_i against y_i, gamma_i against y_{i+1}-1 and, for
-  the last segment, gamma_l against n (the last key's position, which
-  gamma_l predicts exactly); gamma_l is the final entry of delta_gamma
-  and is reported as its own `gamma_last` component.
-
-Unary shifts use the construction error (segment widths are guaranteed
-at that error); delta widths use the verified post-rounding error.
+Points are (key, position): X is the value axis and Y the position axis,
+so B holds the last covered key x'_i of each non-final segment.
+Non-final segments span at least 2e keys and cover at least 2e points,
+so both axes shift their first coordinates by 2e - 1 per segment; the
+shifts use the construction error e, the delta widths the verified
+post-rounding error.  The last entry of delta_gamma, gamma_l against n
+(the last key's position, which gamma_l predicts exactly), is reported
+as its own `gamma_last` component.  The layout is in container.py.
 """
 
 from __future__ import annotations
 
-import struct
-
 from .container import (
-    MODE_EF,
-    MODE_RS,
-    BitBudget,
     ENVELOPE_BYTES,
-    FieldOffsets,
-    pack_components,
-    pack_envelope,
+    MODE_EF,
+    N_COMPONENTS,
+    PlaContainer,
     unpack_components,
     unpack_envelope,
-    unzigzag,
-    zigzag,
 )
-from .pla import INDEXING, Pla, PointSeq, Segment, interpolate
-from .succinct import BitVector, BitWriter, EliasFano, PackedIntArray, RankSelectIndex
-
-MAGIC = b"PLAI"
-_N_COMPONENTS = 6
+from .pla import INDEXING, Pla, PointSeq
 
 
-class CompressedPlaI:
-    """Immutable indexing-setting container; see module docstring."""
+class CompressedPlaI(PlaContainer):
+    """Indexing-setting container: predicts a position from a key."""
 
-    __slots__ = ("mode", "n", "u", "ell", "epsilon", "epsilon_eff", "w_delta",
-                 "x_ef", "x_bv", "x_rs", "y_ef", "b_bits", "p_ef", "d_beta", "d_gamma")
+    __slots__ = ()
 
-    def __init__(self, mode, header, x_ef, x_bv, x_rs, y_ef, b_bits, p_ef, d_beta, d_gamma):
-        self.mode = mode
-        self.n, self.u, self.ell, self.epsilon, self.epsilon_eff, self.w_delta = header
-        self.x_ef = x_ef
-        self.x_bv = x_bv
-        self.x_rs = x_rs
-        self.y_ef = y_ef
-        self.b_bits = b_bits
-        self.p_ef = p_ef
-        self.d_beta = d_beta
-        self.d_gamma = d_gamma
+    MAGIC = b"PLAI"
+    SETTING = INDEXING
+    VALUE_AXIS = "x"
+    B_BIAS = 1
+    RS_LENGTH_STORED = True
+    GAMMA_LAST = True
 
-    def header(self):
-        return (self.n, self.u, self.ell, self.epsilon, self.epsilon_eff, self.w_delta)
+    @staticmethod
+    def shifts(epsilon):
+        return 2 * epsilon - 1, 2 * epsilon - 1
 
-    # -- decoding ----------------------------------------------------------
+    @staticmethod
+    def check_segments(segs, n, u, epsilon):
+        for i in range(len(segs) - 1):
+            if segs[i + 1].first_x - segs[i].first_x < 2 * epsilon:
+                raise ValueError("non-final segments must span at least 2*epsilon keys")
+            if segs[i + 1].first_y - segs[i].first_y < 2 * epsilon:
+                raise ValueError("non-final segments must cover at least 2*epsilon points")
+            if segs[i + 1].first_y != segs[i].last_y + 1:
+                raise ValueError("segments must partition the position axis")
+        if segs[0].first_y != 1 or segs[-1].last_y != n or segs[-1].last_x != u:
+            raise ValueError("segments must cover positions 1..n and end at key u")
 
-    def first_x(self, i, probes=None):
-        """First covered key of segment i."""
-        if probes is not None:
-            probes.primitives += 1
-        if self.mode == MODE_EF:
-            return self.x_ef.select(i) + (2 * self.epsilon - 1) * (i - 1)
-        return self.x_rs.select1(i) + 1
-
-    def first_y(self, i, probes=None):
-        """Position of the first key covered by segment i."""
-        if i == 1:
-            return 1
-        if probes is not None:
-            probes.primitives += 1
-        return self.y_ef.select(i - 1) + (2 * self.epsilon - 1) * (i - 1) + 1
-
-    def first_y_pair(self, i, probes=None):
-        """(y_i, y_{i+1}) for i < ell: one select and a scan to the next
-        one-bit."""
-        if probes is not None:
-            probes.primitives += 1 + (i > 1)
-        if i == 1:
-            return 1, self.first_y(2)
-        shift = 2 * self.epsilon - 1
-        a, b = self.y_ef.select_run(i - 1, 2)
-        return a + shift * (i - 1) + 1, b + shift * i + 1
-
-    def first_and_last_key(self, i, probes=None):
-        """(x_i, x'_i): the first and the final key covered by segment i."""
-        if i == self.ell:
-            return self.first_x(i, probes), self.u
-        c_i, start, width = self.p_ef.field(i, probes)
-        x_i = c_i + (2 * self.epsilon - 1) * (i - 1) if self.mode == MODE_EF else c_i + 1
-        if probes is not None:
-            probes.primitives += 1
-        return x_i, x_i + 1 + self.b_bits.read_field(start, width)
-
-    def segment_of(self, x, probes=None):
-        if self.mode == MODE_RS:
-            if probes is not None:
-                probes.primitives += 1
-            i = self.x_rs.rank1(min(x, self.x_bv.nbits))
-            if i == 0:
-                raise IndexError(f"key {x} precedes the first segment")
-            return i
-        first = self.first_x(1, probes)
-        if x < first:
-            raise IndexError(f"key {x} precedes the first segment")
-        shift = 2 * self.epsilon - 1
-        lo, hi = 1, self.ell
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if probes is not None:
-                probes.primitives += 1
-                probes.search_steps += 1
-            if self.x_ef.select(mid) + shift * (mid - 1) <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def decode_segment(self, i, probes=None):
-        if not 1 <= i <= self.ell:
-            raise IndexError(f"segment ordinal {i} out of range [1, {self.ell}]")
-        x_i, x_last = self.first_and_last_key(i, probes)
-        if i < self.ell:
-            y_i, y_next = self.first_y_pair(i, probes)
-            y_last = y_next - 1
-        else:
-            y_i, y_last = self.first_y(i, probes), self.n
-        if probes is not None:
-            probes.primitives += 2
-        beta = y_i + unzigzag(self.d_beta.get(i - 1))
-        gamma = y_last + unzigzag(self.d_gamma.get(i - 1))
-        return Segment(first_x=x_i, last_x=x_last, intercept=beta,
-                       final_y=gamma, first_y=y_i, last_y=y_last)
-
-    def predict(self, x, probes=None):
+    def range_error(self, x):
         if x > self.u:
-            raise IndexError(f"key {x} exceeds universe {self.u}")
-        i = self.segment_of(x, probes)
-        seg = self.decode_segment(i, probes)
-        return interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, x)
-
-    def decode_all_segments(self):
-        return [self.decode_segment(i) for i in range(1, self.ell + 1)]
-
-    # -- size accounting and serialization ----------------------------------
-
-    def size_bits(self) -> BitBudget:
-        budget = BitBudget(setting=INDEXING, mode=self.mode)
-        c = budget.components
-        c["header"] = ENVELOPE_BYTES * 8 + 32 * _N_COMPONENTS
-        aux = 0
-        padding = 0
-        if self.mode == MODE_EF:
-            c["x"] = self.x_ef.payload_bits()
-            aux += self.x_ef.aux_bits()
-            padding += self.x_ef.padding_bits()
-        else:
-            c["x"] = self.x_bv.payload_bits()
-            aux += self.x_rs.aux_bits() + 32  # explicit bitvector length
-            padding += self.x_bv.padding_bits()
-        c["y"] = self.y_ef.payload_bits()
-        aux += self.y_ef.aux_bits()
-        padding += self.y_ef.padding_bits()
-        c["b"] = self.b_bits.payload_bits()
-        padding += self.b_bits.padding_bits()
-        c["p"] = self.p_ef.payload_bits()
-        padding += self.p_ef.padding_bits()
-        c["delta_beta"] = self.d_beta.payload_bits()
-        c["delta_gamma"] = self.d_gamma.payload_bits() - self.w_delta
-        c["gamma_last"] = self.w_delta
-        padding += self.d_beta.padding_bits() + self.d_gamma.padding_bits()
-        c["aux"] = aux
-        budget.padding_bits = padding
-        return budget
-
-    def to_bytes(self) -> bytes:
-        if self.mode == MODE_EF:
-            x_raw = self.x_ef.to_bytes_raw()
-        else:
-            x_raw = struct.pack("<I", self.x_bv.nbits) + self.x_bv.to_bytes_raw() + self.x_rs.to_bytes_raw()
-        parts = [
-            x_raw,
-            self.y_ef.to_bytes_raw(),
-            self.b_bits.to_bytes_raw(),
-            self.p_ef.to_bytes_raw(),
-            self.d_beta.to_bytes_raw(),
-            self.d_gamma.to_bytes_raw(),
-        ]
-        return pack_envelope(MAGIC, self.mode, self.header()) + pack_components(parts)
+            return f"key {x} exceeds universe {self.u}"
+        return f"key {x} precedes the first segment"
 
     @classmethod
     def from_bytes(cls, data) -> "CompressedPlaI":
-        mode, header = unpack_envelope(MAGIC, data)
-        n, u, ell, epsilon, epsilon_eff, w_delta = header
-        parts = unpack_components(data, ENVELOPE_BYTES, _N_COMPONENTS)
-        shift = 2 * epsilon - 1
-        x_ef = x_bv = x_rs = None
-        if mode == MODE_EF:
-            x_ef, _ = EliasFano.from_bytes_raw(parts[0], 0, ell, max(1, u - shift * (ell - 1) + 1))
-        else:
-            (x_len,) = struct.unpack_from("<I", parts[0], 0)
-            x_bv, off = BitVector.from_bytes_raw(parts[0], 4, x_len)
-            x_rs, _ = RankSelectIndex.from_bytes_raw(x_bv, ell, parts[0], off)
-        y_ef, _ = EliasFano.from_bytes_raw(parts[1], 0, ell - 1, max(1, n - shift * (ell - 1)))
-        p_ef = FieldOffsets.from_bytes_raw(parts[3], ell, *_key_coords(x_ef, x_rs, shift))
-        b_bits, _ = BitVector.from_bytes_raw(parts[2], 0, p_ef.total)
-        d_beta, _ = PackedIntArray.from_bytes_raw(parts[4], 0, ell, w_delta)
-        d_gamma, _ = PackedIntArray.from_bytes_raw(parts[5], 0, ell, w_delta)
-        return cls(mode, header, x_ef, x_bv, x_rs, y_ef, b_bits, p_ef, d_beta, d_gamma)
-
-
-def _key_coords(x_ef, x_rs, shift):
-    """FieldOffsets' coordinate reader and bias over the stored form of
-    the first keys: x_i - shift*(i-1) in ef mode, x_i - 1 in rs mode.  A
-    B field is bit_length(x_{i+1} - x_i - 2) bits wide."""
-    if x_ef is not None:
-        return x_ef.select_run, 2 - shift
-    return x_rs.select_run, 2
+        mode, header = unpack_envelope(cls.MAGIC, data)
+        return cls.from_parts(mode, header, unpack_components(data, ENVELOPE_BYTES, N_COMPONENTS))
 
 
 def encode_i(pla: Pla, points: PointSeq, mode: str = MODE_EF) -> CompressedPlaI:
     """Pack an indexing-setting PLA into its succinct container."""
     if pla.setting != INDEXING or points.setting != INDEXING:
         raise ValueError("encode_i requires an indexing-setting PLA and sequence")
-    if mode not in (MODE_EF, MODE_RS):
-        raise ValueError(f"unknown mode {mode!r}")
-    ell = pla.ell
-    if ell < 1:
-        raise ValueError("cannot encode an empty PLA")
-    n = points.n
-    u = points.values[-1]  # container universe: the final (largest) key
-    eps = pla.epsilon
-    segs = pla.segments
-    for i in range(ell - 1):
-        if segs[i + 1].first_x - segs[i].first_x < 2 * eps:
-            raise ValueError("non-final segments must span at least 2*epsilon keys")
-        if segs[i + 1].first_y - segs[i].first_y < 2 * eps:
-            raise ValueError("non-final segments must cover at least 2*epsilon points")
-        if segs[i + 1].first_y != segs[i].last_y + 1:
-            raise ValueError("segments must partition the position axis")
-    if segs[0].first_y != 1 or segs[-1].last_y != n or segs[-1].last_x != u:
-        raise ValueError("segments must cover positions 1..n and end at key u")
-
-    shift = 2 * eps - 1
-    w_delta = (2 * pla.epsilon_eff).bit_length()
-    firsts_x = [s.first_x for s in segs]
-    firsts_y = [s.first_y for s in segs]
-
-    x_ef = x_bv = x_rs = None
-    if mode == MODE_EF:
-        x_ef = EliasFano.encode(
-            [firsts_x[i] - shift * i for i in range(ell)], max(1, u - shift * (ell - 1) + 1)
-        )
-    else:
-        x_len = max(u - shift, firsts_x[-1])
-        x_bv = BitVector.from_ones(x_len, [x - 1 for x in firsts_x])
-        x_rs = RankSelectIndex(x_bv)
-    y_ef = EliasFano.encode(
-        [firsts_y[i] - 1 - shift * i for i in range(1, ell)], max(1, n - shift * (ell - 1))
-    )
-
-    writer = BitWriter()
-    offsets = []
-    for i in range(ell - 1):
-        offsets.append(writer.bit_length)
-        writer.append_field(segs[i].last_x - firsts_x[i] - 1, (firsts_x[i + 1] - firsts_x[i] - 2).bit_length())
-    b_bits = writer.to_bitvector()
-    p_ef = FieldOffsets.encode(offsets, b_bits.nbits, *_key_coords(x_ef, x_rs, shift))
-
-    max_code = (1 << w_delta) - 1
-    db = []
-    dg = []
-    for s in segs:
-        zb = zigzag(s.intercept - s.first_y)
-        zg = zigzag(s.final_y - s.last_y)  # the last segment's last_y is n
-        if zb > max_code or zg > max_code:
-            raise ValueError("anchor delta exceeds the recorded effective error")
-        db.append(zb)
-        dg.append(zg)
-    d_beta = PackedIntArray.from_values(db, w_delta)
-    d_gamma = PackedIntArray.from_values(dg, w_delta)
-
-    header = (n, u, ell, eps, pla.epsilon_eff, w_delta)
-    return CompressedPlaI(mode, header, x_ef, x_bv, x_rs, y_ef, b_bits, p_ef, d_beta, d_gamma)
+    return CompressedPlaI.from_pla(pla, points, mode)
 
 
-def segment_of_i(store: CompressedPlaI, x: int, probes=None) -> int:
-    """Ordinal of the segment whose first key is the largest <= x."""
-    return store.segment_of(x, probes)
-
-
-def decode_segment_i(store: CompressedPlaI, i: int, probes=None) -> Segment:
-    """Exact reconstruction of the i-th stored segment tuple."""
-    return store.decode_segment(i, probes)
-
-
-def predict_i(store: CompressedPlaI, x: int, probes=None) -> int:
-    """Approximate rank of key x."""
-    return store.predict(x, probes)
-
-
-def size_bits_i(store: CompressedPlaI) -> BitBudget:
-    """Exact per-component bit accounting of the serialized container."""
-    return store.size_bits()
+segment_of_i = CompressedPlaI.segment_of
+decode_segment_i = CompressedPlaI.decode_segment
+predict_i = CompressedPlaI.predict
+size_bits_i = CompressedPlaI.size_bits

@@ -31,13 +31,6 @@ SELECT_SAMPLE_RATE = 512
 _BLOCK_WORDS = RANK_BLOCK_BITS // WORD_BITS
 
 
-def ceil_log2(m: int) -> int:
-    """Number of bits needed to address m distinct values (m >= 1)."""
-    if m < 1:
-        raise ValueError("ceil_log2 requires m >= 1")
-    return (m - 1).bit_length()
-
-
 def floor_log2_ratio(numer: int, denom: int) -> int:
     """floor(log2(numer/denom)) for numer >= denom >= 1, else 0."""
     if denom <= 0:
@@ -164,9 +157,6 @@ class BitVector:
         if got < width:
             chunk |= self.words[w + 1] << got
         return chunk & ((1 << width) - 1)
-
-    def count_ones(self) -> int:
-        return sum(w.bit_count() for w in self.words)
 
     def __len__(self) -> int:
         return self.nbits
@@ -372,16 +362,6 @@ class RankSelectIndex(SelectIndex):
         off += 4 * nblocks
         samples, off = cls._samples_from_bytes(owner, ones, data, off)
         return cls(owner, counts, samples), off
-
-
-def bv_rank1(idx: RankSelectIndex, pos: int) -> int:
-    """Number of 1-bits strictly before `pos`."""
-    return idx.rank1(pos)
-
-
-def bv_select1(idx: RankSelectIndex, k: int) -> int:
-    """Position of the k-th 1-bit (1-indexed)."""
-    return idx.select1(k)
 
 
 class PackedIntArray:
@@ -590,18 +570,3 @@ class EliasFano:
         high, off = BitVector.from_bytes_raw(data, off, high_len)
         rs, off = SelectIndex.from_bytes_raw(high, n_values, data, off)
         return cls(n_values, universe, lw, lows, high, rs), off
-
-
-def ef_encode(values, universe: int) -> EliasFano:
-    """Encode a non-decreasing sequence of integers below `universe`."""
-    return EliasFano.encode(values, universe)
-
-
-def ef_select(ef: EliasFano, k: int) -> int:
-    """k-th encoded value, 1-indexed."""
-    return ef.select(k)
-
-
-def ef_pred(ef: EliasFano, x: int):
-    """Largest (ordinal, value) with value <= x, or None."""
-    return ef.pred(x)

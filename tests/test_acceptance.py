@@ -32,7 +32,7 @@ from plastore import (
 from plastore.bounds import conditional_count_c, conditional_count_i, count_c, count_i
 from plastore.store_compression import CompressedPlaC
 from plastore.store_indexing import CompressedPlaI
-from plastore.succinct import BitVector, RankSelectIndex, ef_encode
+from plastore.succinct import BitVector, EliasFano, RankSelectIndex
 
 from conftest import max_error_against_truth
 
@@ -256,7 +256,7 @@ class TestCriterion6SuccinctPrimitives:
             # Elias-Fano round trip at the same scale, one instance per length
             if length % 7 == 0:
                 vals = sorted(rng.randrange(4 * length + 1) for _ in range(length))
-                ef = ef_encode(vals, 4 * length + 1)
+                ef = EliasFano.encode(vals, 4 * length + 1)
                 if ef.values() != vals:
                     report("6", False, f"elias-fano round trip failed at n={length}")
         # randomized above 2^12
@@ -272,7 +272,7 @@ class TestCriterion6SuccinctPrimitives:
 
                 assert idx.rank1(pos) == bisect.bisect_left(positions, pos)
             vals = positions
-            ef = ef_encode(vals, length)
+            ef = EliasFano.encode(vals, length)
             for _ in range(10):
                 k = rng.randrange(1, len(vals) + 1)
                 assert ef.select(k) == vals[k - 1]

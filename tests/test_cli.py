@@ -1,17 +1,24 @@
 import json
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import plastore
 from plastore.cli import main
+
+# the subprocess imports the same plastore sources as the tests
+SRC = str(Path(plastore.__file__).resolve().parent.parent)
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(args, stdin=None):
     proc = subprocess.run(
         [sys.executable, "-m", "plastore.cli", *args],
-        capture_output=True, text=True, input=stdin,
+        capture_output=True, text=True, input=stdin, env=ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -91,6 +98,23 @@ class TestBuildPredictVerify:
         code, stdout, _ = run_cli(["build", "--setting", "compression", "--epsilon", "1",
                                    "--format", "u64le", "--input", str(inp), "--output", str(out)])
         assert code == 0
+
+    @pytest.mark.parametrize("setting", ["compression", "indexing"])
+    def test_u64le_above_2_63_round_trip(self, tmp_path, setting):
+        vals = [2**63 + 1000 * i + (i * i) % 7 for i in range(100)]
+        inp = tmp_path / "big.bin"
+        inp.write_bytes(b"".join(struct.pack("<Q", v) for v in vals))
+        out = tmp_path / "big.pla"
+        steps = [
+            ["build", "--setting", setting, "--epsilon", "4", "--format", "u64le",
+             "--input", str(inp), "--output", str(out)],
+            ["verify", str(out), "--format", "u64le", "--input", str(inp)],
+            ["predict", str(out), "--x", str(vals[40] if setting == "indexing" else 41)],
+        ]
+        for args in steps:
+            code, stdout, stderr = run_cli(args)
+            assert code == 0 and stderr == "", (args[0], stderr)
+        assert stdout.split()[1] == "1"
 
     def test_ingestion_error_line_number(self, tmp_path):
         inp = tmp_path / "in.txt"

@@ -9,12 +9,17 @@ from plastore import (
     INDEXING,
     CoverageError,
     PointSeq,
+    Segment,
     build_optimal_pla,
+    encode_c,
+    encode_i,
     min_segments_bruteforce,
     verify_error,
 )
 from plastore.oracle import min_segments_dp
-from plastore.pla import FeasiblePla, optimal_spans, round_to_integer_endpoints
+from plastore.pla import FeasiblePla, interpolate, optimal_spans, round_to_integer_endpoints
+from plastore.store_compression import CompressedPlaC
+from plastore.store_indexing import CompressedPlaI
 
 
 class TestPointSeq:
@@ -170,3 +175,43 @@ class TestVerifyError:
         assert spans[0][0] == 0 and spans[-1][1] == len(values) - 1
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert s2 == e1 + 1
+
+
+# inputs whose error scan overflows int64: products (x - x0)*(gamma - beta)
+# beyond 2^63, and values that do not fit in int64 at all
+BEYOND_INT64 = {
+    "spaced-2^56": [1 + i * 2**56 for i in range(100)],
+    "above-2^63": [2**63 + 1000 * i + (i * i) % 7 for i in range(100)],
+}
+
+
+def exact_max_error(pla, points):
+    xs, ys = points.plane_points()
+    worst = 0
+    j = 0
+    for seg in pla.segments:
+        while j < points.n and xs[j] <= seg.last_x:
+            pred = interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, xs[j])
+            worst = max(worst, abs(pred - ys[j]))
+            j += 1
+    return worst
+
+
+class TestBeyondInt64:
+    @pytest.mark.parametrize("setting", [COMPRESSION, INDEXING])
+    @pytest.mark.parametrize("name", sorted(BEYOND_INT64))
+    def test_build_verify_and_store(self, name, setting):
+        points = PointSeq(BEYOND_INT64[name], setting=setting)
+        pla = build_optimal_pla(points, 4)
+        assert pla.epsilon_eff <= 4 + 3
+        assert verify_error(pla, points) == pla.epsilon_eff == exact_max_error(pla, points)
+        encode, cls = (encode_c, CompressedPlaC) if setting == COMPRESSION else (encode_i, CompressedPlaI)
+        store = cls.from_bytes(encode(pla, points).to_bytes())
+        assert store.decode_all_segments() == pla.segments
+
+    def test_verify_error_sees_large_anchors(self):
+        points = PointSeq(list(range(1, 101)))
+        pla = build_optimal_pla(points, 1)
+        seg = pla.segments[0]
+        pla.segments[0] = Segment(seg.first_x, seg.last_x, seg.intercept, 2**70, seg.first_y, seg.last_y)
+        assert verify_error(pla, points) == exact_max_error(pla, points) > 2**63

@@ -165,9 +165,9 @@ class TestQueries:
         for a, b in zip(firsts, firsts[1:]):
             bits += "0" * (b - a - 2) + "1"
         ones = [i + 1 for i, c in enumerate(bits) if c == "1"]  # 1-indexed
-        assert store.first_x(1) == 1
+        assert store.x_axis.first(1) == 1
         for i in range(2, store.ell + 1):
-            assert store.first_x(i) == ones[i - 2] + i
+            assert store.x_axis.first(i) == ones[i - 2] + i
 
 
 class TestSizeAndSerialization:

@@ -171,13 +171,13 @@ class TestQueries:
             xbits += "0" * (b - a - 2 * eps) + "1"
         ones = [i + 1 for i, c in enumerate(xbits) if c == "1"]  # 1-indexed
         for i in range(1, store.ell + 1):
-            assert store.first_x(i) == ones[i - 1] + shift * (i - 1)
+            assert store.x_axis.first(i) == ones[i - 1] + shift * (i - 1)
         ybits = ""
         for a, b in zip(firsts_y, firsts_y[1:]):
             ybits += "0" * (b - a - 2 * eps) + "1"
         yones = [i + 1 for i, c in enumerate(ybits) if c == "1"]
         for i in range(2, store.ell + 1):
-            assert store.first_y(i) == yones[i - 2] + shift * (i - 1) + 1
+            assert store.y_axis.first(i) == yones[i - 2] + shift * (i - 1) + 1
 
 
 class TestSizeAndSerialization:

@@ -9,11 +9,6 @@ from plastore.succinct import (
     EliasFano,
     PackedIntArray,
     RankSelectIndex,
-    bv_rank1,
-    bv_select1,
-    ef_encode,
-    ef_pred,
-    ef_select,
 )
 
 
@@ -23,16 +18,16 @@ def rs(bits: str) -> RankSelectIndex:
 
 class TestRankSelect:
     def test_rank_empty_prefix(self):
-        assert bv_rank1(rs("101101"), 0) == 0
+        assert rs("101101").rank1(0) == 0
 
     def test_rank_hand_counted(self):
-        assert bv_rank1(rs("101101"), 4) == 3
+        assert rs("101101").rank1(4) == 3
 
     def test_select_first(self):
-        assert bv_select1(rs("101101"), 1) == 0
+        assert rs("101101").select1(1) == 0
 
     def test_select_hand_counted(self):
-        assert bv_select1(rs("101101"), 3) == 3
+        assert rs("101101").select1(3) == 3
 
     def test_rank_select_out_of_range(self):
         idx = rs("101101")
@@ -119,44 +114,44 @@ class TestBitOps:
 
 class TestEliasFano:
     def test_direct_readback(self):
-        ef = ef_encode([2, 3, 5, 7, 11], 12)
-        assert ef_select(ef, 3) == 5
+        ef = EliasFano.encode([2, 3, 5, 7, 11], 12)
+        assert ef.select(3) == 5
 
     def test_duplicates(self):
-        ef = ef_encode([4, 4, 4], 5)
-        assert ef_select(ef, 2) == 4
+        ef = EliasFano.encode([4, 4, 4], 5)
+        assert ef.select(2) == 4
         assert ef.values() == [4, 4, 4]
 
     def test_singleton(self):
-        assert ef_select(ef_encode([1], 2), 1) == 1
+        assert EliasFano.encode([1], 2).select(1) == 1
 
     def test_small(self):
-        assert ef_select(ef_encode([2, 3, 5], 6), 2) == 3
+        assert EliasFano.encode([2, 3, 5], 6).select(2) == 3
 
     def test_select_out_of_range(self):
-        ef = ef_encode([2, 3, 5], 6)
+        ef = EliasFano.encode([2, 3, 5], 6)
         with pytest.raises(IndexError):
-            ef_select(ef, 0)
+            ef.select(0)
         with pytest.raises(IndexError):
-            ef_select(ef, 4)
+            ef.select(4)
 
     def test_encode_validation(self):
         with pytest.raises(ValueError):
-            ef_encode([3, 2], 5)
+            EliasFano.encode([3, 2], 5)
         with pytest.raises(ValueError):
-            ef_encode([1, 5], 5)
+            EliasFano.encode([1, 5], 5)
 
     def test_pred_hand(self):
-        ef = ef_encode([2, 3, 5, 7, 11], 12)
-        assert ef_pred(ef, 6) == (3, 5)
-        assert ef_pred(ef, 1) is None
-        assert ef_pred(ef, 2) == (1, 2)
-        assert ef_pred(ef, 100) == (5, 11)
+        ef = EliasFano.encode([2, 3, 5, 7, 11], 12)
+        assert ef.pred(6) == (3, 5)
+        assert ef.pred(1) is None
+        assert ef.pred(2) == (1, 2)
+        assert ef.pred(100) == (5, 11)
 
     def test_random_roundtrip_and_pred(self):
         rng = random.Random(11)
         values = sorted(rng.randrange(10**6) for _ in range(10**4))
-        ef = ef_encode(values, 10**6)
+        ef = EliasFano.encode(values, 10**6)
         assert ef.values() == values
         for _ in range(300):
             x = rng.randrange(-5, 10**6 + 5)
@@ -164,32 +159,32 @@ class TestEliasFano:
             for k, v in enumerate(values, start=1):
                 if v <= x:
                     expect = (k, v)
-            assert ef_pred(ef, x) == expect
+            assert ef.pred(x) == expect
 
     @given(st.lists(st.integers(min_value=0, max_value=5000), min_size=0, max_size=200))
     @settings(max_examples=150, deadline=None)
     def test_roundtrip_property(self, vals):
         vals.sort()
-        ef = ef_encode(vals, 5001)
+        ef = EliasFano.encode(vals, 5001)
         assert ef.values() == vals
 
     def test_size_bound(self):
         rng = random.Random(5)
         for n, u in ((10, 100), (100, 100), (500, 10**6), (1000, 1024)):
             values = sorted(rng.randrange(u) for _ in range(n))
-            ef = ef_encode(values, u)
+            ef = EliasFano.encode(values, u)
             rep = ef.size_report()
             assert rep["core_bits"] <= rep["bound_bits"], (n, u, rep)
             assert rep["aux_bits"] >= 0
 
     def test_empty(self):
-        ef = ef_encode([], 0)
+        ef = EliasFano.encode([], 0)
         assert len(ef) == 0
-        assert ef_pred(ef, 10) is None
+        assert ef.pred(10) is None
 
     def test_serialization_roundtrip(self):
         values = [0, 0, 5, 9, 12, 40, 41, 500]
-        ef = ef_encode(values, 501)
+        ef = EliasFano.encode(values, 501)
         ef2, _ = EliasFano.from_bytes(ef.to_bytes())
         assert ef2.values() == values
         raw = ef.to_bytes_raw()
