@@ -4,8 +4,8 @@ sequences."""
 
 from .pla import COMPRESSION, INDEXING, PointSeq, Segment, Pla, build_optimal_pla, round_to_integer_endpoints, verify_error
 from .succinct import BitVector, RankSelectIndex, EliasFano
-from .store_compression import CompressedPlaC, encode_c, segment_of_c, decode_segment_c, predict_c, size_bits_c
-from .store_indexing import CompressedPlaI, encode_i, segment_of_i, decode_segment_i, predict_i, size_bits_i
+from .store_compression import CompressedPlaC, encode_c
+from .store_indexing import CompressedPlaI, encode_i
 from .bounds import (
     BigCount,
     BoundReport,
@@ -29,8 +29,8 @@ __all__ = [
     "COMPRESSION", "INDEXING", "PointSeq", "Segment", "Pla",
     "build_optimal_pla", "round_to_integer_endpoints", "verify_error",
     "BitVector", "RankSelectIndex", "EliasFano",
-    "CompressedPlaC", "encode_c", "segment_of_c", "decode_segment_c", "predict_c", "size_bits_c",
-    "CompressedPlaI", "encode_i", "segment_of_i", "decode_segment_i", "predict_i", "size_bits_i",
+    "CompressedPlaC", "encode_c",
+    "CompressedPlaI", "encode_i",
     "BigCount", "BoundReport", "baseline_la_bits", "baseline_pgm_bits",
     "count_c", "count_i", "count_i_general", "log2_binomial", "lower_bound_c", "lower_bound_i",
     "redundancy_report",

@@ -157,7 +157,7 @@ def _log2_comb_or_zero(m: int, k: int) -> float:
     return log2_big(c) if c > 0 else 0.0
 
 
-def baseline_la_bits(ell, epsilon, u, n, variant="binary-search", c=2) -> float:
+def baseline_la_bits(ell, epsilon, u, n, variant="binary-search") -> float:
     """Space of the reference compression-setting storage scheme."""
     if min(ell, u, n) < 1 or epsilon < 1:
         raise ValueError("parameters must be positive")
@@ -165,11 +165,11 @@ def baseline_la_bits(ell, epsilon, u, n, variant="binary-search", c=2) -> float:
     if variant == "binary-search":
         return ell * (2 * math.log2(u / ell) + math.log2(n / ell) + 6 + eps_term)
     if variant == "constant-time":
-        return ell * (2 * math.log2(u / ell) + 4 + eps_term) + log2_binomial(n, ell) + n / math.log2(n) ** c
+        return ell * (2 * math.log2(u / ell) + 4 + eps_term) + log2_binomial(n, ell) + n / math.log2(n) ** 2
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def baseline_pgm_bits(ell, epsilon, u, n, variant="binary-search", c=2) -> float:
+def baseline_pgm_bits(ell, epsilon, u, n, variant="binary-search") -> float:
     """Space of the reference indexing-setting storage scheme."""
     if min(ell, u, n) < 1 or epsilon < 1:
         raise ValueError("parameters must be positive")
@@ -177,7 +177,7 @@ def baseline_pgm_bits(ell, epsilon, u, n, variant="binary-search", c=2) -> float
     if variant == "binary-search":
         return ell * (base + 2 * math.log2(u))
     if variant == "constant-time":
-        return ell * (base + math.log2(u)) + log2_binomial(u, ell) + u / math.log2(u) ** c
+        return ell * (base + math.log2(u)) + log2_binomial(u, ell) + u / math.log2(u) ** 2
     raise ValueError(f"unknown variant {variant!r}")
 
 

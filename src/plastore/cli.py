@@ -44,14 +44,14 @@ def read_sequence(path: str, fmt: str) -> list:
     raise ValueError(f"unknown input format {fmt!r}")
 
 
-def load_points(path: str, fmt: str, setting: str, universe=None) -> PointSeq:
+def load_points(path: str, fmt: str, setting: str) -> PointSeq:
     values = read_sequence(path, fmt)
     prev = 0
     for i, v in enumerate(values):
         if v <= prev:
             raise ValueError(f"{path}: line {i + 1}: values must be strictly increasing and >= 1")
         prev = v
-    return PointSeq(values, u=universe, setting=setting)
+    return PointSeq(values, setting=setting)
 
 
 def load_container(path: str):
@@ -64,7 +64,7 @@ def load_container(path: str):
 
 
 def cmd_build(args) -> int:
-    points = load_points(args.input, args.format, args.setting, args.universe)
+    points = load_points(args.input, args.format, args.setting)
     pla = build_optimal_pla(points, args.epsilon)
     if args.setting == COMPRESSION:
         store = encode_c(pla, points, args.mode)
@@ -220,7 +220,6 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--mode", choices=[MODE_EF, MODE_RS], default=MODE_EF)
     add_input_flags(b)
     b.add_argument("--output", required=True)
-    b.add_argument("--universe", type=int, default=None)
     b.set_defaults(func=cmd_build)
 
     q = sub.add_parser("predict", help="query a container")

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .errors import FormatError
 from .pla import Segment, interpolate
-from .succinct import BitVector, BitWriter, EliasFano, PackedIntArray, RankSelectIndex
+from .succinct import BitVector, BitWriter, EliasFano, PackedIntArray, RankSelectIndex, read_words
 
 FORMAT_VERSION = 2
 
@@ -328,20 +328,19 @@ class PlaContainer:
     own component), check_segments and range_error."""
 
     __slots__ = ("mode", "n", "u", "ell", "epsilon", "epsilon_eff", "w_delta",
-                 "x_ef", "x_bv", "x_rs", "y_ef", "b_bits", "p_ef", "d_beta", "d_gamma",
+                 "x", "y_ef", "b_bits", "p_ef", "d_beta", "d_gamma",
                  "x_axis", "y_axis", "value_axis", "position_axis")
 
-    def __init__(self, mode, header, x_ef, x_bv, x_rs, y_ef):
-        """The coordinate components; the caller sets b_bits, p_ef, d_beta
-        and d_gamma."""
+    def __init__(self, mode, header, x, y_ef):
+        """The coordinate components: X (an EliasFano in ef mode, a
+        RankSelectIndex in rs mode) and Y; the caller sets b_bits, p_ef,
+        d_beta and d_gamma."""
         self.mode = mode
         self.n, self.u, self.ell, self.epsilon, self.epsilon_eff, self.w_delta = header
-        self.x_ef = x_ef
-        self.x_bv = x_bv
-        self.x_rs = x_rs
+        self.x = x
         self.y_ef = y_ef
         xr, yr = self.axis_rules(self.n, self.u, self.epsilon)
-        self.x_axis = xr.bind(x_ef) if mode == MODE_EF else xr.bind_bits(x_rs)
+        self.x_axis = xr.bind(x) if mode == MODE_EF else xr.bind_bits(x)
         self.y_axis = yr.bind(y_ef)
         if self.VALUE_AXIS == "x":
             self.value_axis, self.position_axis = self.x_axis, self.y_axis
@@ -357,6 +356,16 @@ class PlaContainer:
 
     def header(self):
         return (self.n, self.u, self.ell, self.epsilon, self.epsilon_eff, self.w_delta)
+
+    @property
+    def x_ef(self):
+        """X in ef mode, else None."""
+        return self.x if self.mode == MODE_EF else None
+
+    @property
+    def x_rs(self):
+        """X in rs mode, else None."""
+        return self.x if self.mode == MODE_RS else None
 
     # -- encoding ------------------------------------------------------------
 
@@ -376,16 +385,14 @@ class PlaContainer:
         xr, yr = cls.axis_rules(n, u, pla.epsilon)
         firsts_x = [s.first_x for s in segs]
         firsts_y = [s.first_y for s in segs]
-        x_ef = x_bv = x_rs = None
         if mode == MODE_EF:
-            x_ef = xr.encode(firsts_x)
+            x = xr.encode(firsts_x)
         else:
             x_len = max(xr.end - xr.shift, firsts_x[-1]) if cls.RS_LENGTH_STORED else max(0, xr.end - xr.skip)
-            x_bv = BitVector.from_ones(x_len, [x - 1 - xr.skip for x in firsts_x[xr.skip:]])
-            x_rs = RankSelectIndex(x_bv)
+            x = RankSelectIndex(BitVector.from_ones(x_len, [c - 1 - xr.skip for c in firsts_x[xr.skip:]]))
         w_delta = (2 * pla.epsilon_eff).bit_length()
         header = (n, u, ell, pla.epsilon, pla.epsilon_eff, w_delta)
-        store = cls(mode, header, x_ef, x_bv, x_rs, yr.encode(firsts_y))
+        store = cls(mode, header, x, yr.encode(firsts_y))
 
         if cls.VALUE_AXIS == "x":
             firsts, lasts = firsts_x, [s.last_x for s in segs]
@@ -432,7 +439,7 @@ class PlaContainer:
         if self.mode == MODE_RS:
             if probes is not None:
                 probes.primitives += 1
-            i = skip + self.x_rs.rank1(min(x - skip, self.x_bv.nbits))
+            i = skip + self.x.rank1(min(x - skip, self.x.owner.nbits))
             if i:
                 return i
         elif skip or x >= ax.first(1, probes):
@@ -446,7 +453,7 @@ class PlaContainer:
                 if probes is not None:
                     probes.primitives += 1
                     probes.search_steps += 1
-                if self.x_ef.select(mid) + shift * mid <= target:
+                if self.x.select(mid) + shift * mid <= target:
                     lo = mid
                 else:
                     hi = mid - 1
@@ -495,11 +502,7 @@ class PlaContainer:
         budget = BitBudget(setting=self.SETTING, mode=self.mode)
         c = budget.components
         c["header"] = ENVELOPE_BYTES * 8 + 32 * N_COMPONENTS
-        if self.mode == MODE_EF:
-            x, x_index, x_length_bits = self.x_ef, self.x_ef, 0
-        else:
-            x, x_index, x_length_bits = self.x_bv, self.x_rs, 32 * self.RS_LENGTH_STORED
-        parts = {"x": x, "y": self.y_ef, "b": self.b_bits, "p": self.p_ef,
+        parts = {"x": self.x, "y": self.y_ef, "b": self.b_bits, "p": self.p_ef,
                  "delta_beta": self.d_beta, "delta_gamma": self.d_gamma}
         for name, part in parts.items():
             c[name] = part.payload_bits()
@@ -507,16 +510,17 @@ class PlaContainer:
         if self.GAMMA_LAST:
             c["delta_gamma"] -= self.w_delta
             c["gamma_last"] = self.w_delta
-        c["aux"] = x_index.aux_bits() + x_length_bits + self.y_ef.aux_bits()
+        c["aux"] = self.x.aux_bits() + 32 * self._stores_x_length() + self.y_ef.aux_bits()
         return budget
 
+    def _stores_x_length(self):
+        """Whether X is prefixed by its bitvector length as a u32."""
+        return self.mode == MODE_RS and self.RS_LENGTH_STORED
+
     def to_bytes(self) -> bytes:
-        if self.mode == MODE_EF:
-            x_raw = self.x_ef.to_bytes_raw()
-        else:
-            x_raw = self.x_bv.to_bytes_raw() + self.x_rs.to_bytes_raw()
-            if self.RS_LENGTH_STORED:
-                x_raw = struct.pack("<I", self.x_bv.nbits) + x_raw
+        x_raw = self.x.to_bytes_raw()
+        if self._stores_x_length():
+            x_raw = struct.pack("<I", self.x.owner.nbits) + x_raw
         parts = [
             x_raw,
             self.y_ef.to_bytes_raw(),
@@ -532,20 +536,15 @@ class PlaContainer:
         """The container from its envelope and its component payloads."""
         n, u, ell, epsilon, epsilon_eff, w_delta = header
         xr, yr = cls.axis_rules(n, u, epsilon)
-        x_ef = x_bv = x_rs = None
         if mode == MODE_EF:
-            x_ef, _ = EliasFano.from_bytes_raw(parts[0], 0, ell - xr.skip, xr.universe(ell))
+            x, _ = EliasFano.from_bytes_raw(parts[0], 0, ell - xr.skip, xr.universe(ell))
+        elif cls.RS_LENGTH_STORED:
+            (x_len,), off = read_words(parts[0], 0, 1, "I")
+            x, _ = RankSelectIndex.from_bytes_raw(parts[0], off, x_len, ell - xr.skip)
         else:
-            off = 0
-            if cls.RS_LENGTH_STORED:
-                (x_len,) = struct.unpack_from("<I", parts[0], 0)
-                off = 4
-            else:
-                x_len = max(0, xr.end - xr.skip)
-            x_bv, off = BitVector.from_bytes_raw(parts[0], off, x_len)
-            x_rs, _ = RankSelectIndex.from_bytes_raw(x_bv, ell - xr.skip, parts[0], off)
+            x, _ = RankSelectIndex.from_bytes_raw(parts[0], 0, max(0, xr.end - xr.skip), ell - xr.skip)
         y_ef, _ = EliasFano.from_bytes_raw(parts[1], 0, ell - yr.skip, yr.universe(ell))
-        store = cls(mode, header, x_ef, x_bv, x_rs, y_ef)
+        store = cls(mode, header, x, y_ef)
         store.p_ef = FieldOffsets.from_bytes_raw(parts[3], ell, *store.field_coords())
         store.b_bits, _ = BitVector.from_bytes_raw(parts[2], 0, store.p_ef.total)
         store.d_beta, _ = PackedIntArray.from_bytes_raw(parts[4], 0, ell, w_delta)

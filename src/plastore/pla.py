@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +38,11 @@ _INT64_SAFE = 1 << 62  # numpy scans only magnitudes below this, so no int64 sum
 
 
 class PointSeq:
-    """A strictly increasing integer sequence with its universe size."""
+    """A strictly increasing integer sequence of values >= 1."""
 
-    __slots__ = ("values", "u", "setting")
+    __slots__ = ("values", "setting")
 
-    def __init__(self, values, u=None, setting=COMPRESSION):
+    def __init__(self, values, setting=COMPRESSION):
         values = tuple(values)
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}")
@@ -50,12 +51,7 @@ class PointSeq:
         for i in range(1, len(values)):
             if values[i] <= values[i - 1]:
                 raise ValueError(f"values must be strictly increasing (index {i})")
-        if u is None:
-            u = values[-1] if values else 0
-        if values and values[-1] > u:
-            raise ValueError(f"max value {values[-1]} exceeds universe {u}")
         self.values = values
-        self.u = u
         self.setting = setting
 
     @property
@@ -69,11 +65,10 @@ class PointSeq:
         return list(self.values), list(range(1, self.n + 1))
 
     def __repr__(self):
-        return f"PointSeq(n={self.n}, u={self.u}, setting={self.setting!r})"
+        return f"PointSeq(n={self.n}, setting={self.setting!r})"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One PLA segment with integer anchors.
 
     first_x/last_x are the first and last covered x-coordinates,
@@ -241,7 +236,7 @@ def _nearest(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def round_to_integer_endpoints(fpla: FeasiblePla, points: PointSeq, policy: str = "nearest") -> Pla:
+def round_to_integer_endpoints(fpla: FeasiblePla, points: PointSeq) -> Pla:
     """Fix integer anchor ordinates for each feasible segment.
 
     The representative line is the midpoint of the feasible slope interval
@@ -250,8 +245,6 @@ def round_to_integer_endpoints(fpla: FeasiblePla, points: PointSeq, policy: str 
     The resulting maximum error is recomputed by a full scan and checked
     to stay within epsilon + 3.
     """
-    if policy != "nearest":
-        raise ValueError(f"unknown rounding policy {policy!r}")
     xs, ys = points.plane_points()
     xs_arr, ys_arr = _scan_arrays(xs, ys)
     eps = fpla.epsilon

@@ -61,9 +61,3 @@ def encode_c(pla: Pla, points: PointSeq, mode: str = MODE_EF) -> CompressedPlaC:
     if pla.setting != COMPRESSION or points.setting != COMPRESSION:
         raise ValueError("encode_c requires a compression-setting PLA and sequence")
     return CompressedPlaC.from_pla(pla, points, mode)
-
-
-segment_of_c = CompressedPlaC.segment_of
-decode_segment_c = CompressedPlaC.decode_segment
-predict_c = CompressedPlaC.predict
-size_bits_c = CompressedPlaC.size_bits

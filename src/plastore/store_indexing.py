@@ -67,9 +67,3 @@ def encode_i(pla: Pla, points: PointSeq, mode: str = MODE_EF) -> CompressedPlaI:
     if pla.setting != INDEXING or points.setting != INDEXING:
         raise ValueError("encode_i requires an indexing-setting PLA and sequence")
     return CompressedPlaI.from_pla(pla, points, mode)
-
-
-segment_of_i = CompressedPlaI.segment_of
-decode_segment_i = CompressedPlaI.decode_segment
-predict_i = CompressedPlaI.predict
-size_bits_i = CompressedPlaI.size_bits

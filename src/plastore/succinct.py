@@ -9,16 +9,22 @@ Conventions used throughout the package:
 * every structure is immutable after construction and safe for any number
   of concurrent readers.
 
-Each type serializes to a little-endian byte string.  Two forms exist: a
-standalone form carrying its own length header (``to_bytes``), and a raw
-form (``to_bytes_raw``) that omits every field derivable from context,
-used by the store containers to avoid paying per-component headers.
+Each stored type serializes to one raw little-endian form
+(``to_bytes_raw``) that omits every length derivable from context: the
+container header supplies the lengths back to ``from_bytes_raw``, which
+reads every word array through one checked reader (``read_words``) and
+raises FormatError when the payload is too short.  A rank/select
+directory owns its bitvector: it writes the bitvector's words, then its
+own tables, and reports the bits of both (``payload_bits``,
+``padding_bits``, ``aux_bits``).
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_right
+
+from .errors import FormatError
 
 WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
@@ -40,16 +46,13 @@ def floor_log2_ratio(numer: int, denom: int) -> int:
     return (numer // denom).bit_length() - 1
 
 
-def _read_span(words, pos: int, nbits: int) -> int:
-    """`nbits` bits of a word list from bit `pos` on, any length."""
-    wi = pos >> 6
-    chunk = words[wi] >> (pos & 63) if nbits else 0
-    got = 64 - (pos & 63)
-    while got < nbits:
-        wi += 1
-        chunk |= words[wi] << got
-        got += 64
-    return chunk & ((1 << nbits) - 1)
+def read_words(data, off: int, count: int, code: str = "Q"):
+    """`count` little-endian words ("Q": u64, "I": u32) of `data` from byte
+    `off` on, and the offset after them; FormatError if `data` is short."""
+    end = off + count * struct.calcsize(code)
+    if end > len(data):
+        raise FormatError(f"component truncated: needs {end} bytes, has {len(data)}")
+    return list(struct.unpack_from(f"<{count}{code}", data, off)), end
 
 
 # _SELECT_IN_BYTE[b][r]: position of the (r+1)-th 1-bit of byte b
@@ -145,17 +148,20 @@ class BitVector:
         return (self.words[pos >> 6] >> (pos & 63)) & 1
 
     def read_field(self, pos: int, width: int) -> int:
-        """Read `width` bits starting at `pos` as an unsigned integer."""
+        """Read `width` bits starting at `pos` as an unsigned integer; any
+        width, so one call reads a run of packed fields."""
         if width == 0:
             return 0
         if pos < 0 or pos + width > self.nbits:
             raise IndexError(f"field [{pos}, {pos + width}) out of range")
-        w = pos >> 6
-        off = pos & 63
-        chunk = self.words[w] >> off
-        got = 64 - off
-        if got < width:
-            chunk |= self.words[w + 1] << got
+        words = self.words
+        wi = pos >> 6
+        chunk = words[wi] >> (pos & 63)
+        got = 64 - (pos & 63)
+        while got < width:
+            wi += 1
+            chunk |= words[wi] << got
+            got += 64
         return chunk & ((1 << width) - 1)
 
     def __len__(self) -> int:
@@ -163,22 +169,13 @@ class BitVector:
 
     # -- serialization ----------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        return struct.pack("<Q", self.nbits) + self.to_bytes_raw()
-
     def to_bytes_raw(self) -> bytes:
-        return b"".join(struct.pack("<Q", w) for w in self.words)
-
-    @classmethod
-    def from_bytes(cls, data, off: int = 0):
-        (nbits,) = struct.unpack_from("<Q", data, off)
-        return cls.from_bytes_raw(data, off + 8, nbits)
+        return struct.pack(f"<{len(self.words)}Q", *self.words)
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, nbits: int):
-        nwords = (nbits + 63) // 64
-        words = list(struct.unpack_from(f"<{nwords}Q", data, off))
-        return cls(words, nbits), off + 8 * nwords
+        words, off = read_words(data, off, (nbits + 63) // 64)
+        return cls(words, nbits), off
 
     def payload_bits(self) -> int:
         return self.nbits
@@ -269,14 +266,24 @@ class SelectIndex:
         """Index of the next word that may hold a 1-bit after word wi."""
         return wi + 1
 
-    # -- serialization ----------------------------------------------------
+    # -- size accounting and serialization ---------------------------------
+
+    def _tables(self) -> list:
+        """The stored u32 tables, in serialized order."""
+        return [self.samples[1:]]
+
+    def payload_bits(self) -> int:
+        return self.owner.nbits
+
+    def padding_bits(self) -> int:
+        return self.owner.padding_bits()
 
     def aux_bits(self) -> int:
-        return 32 * max(0, len(self.samples) - 1)
+        return 32 * sum(len(t) for t in self._tables())
 
     def to_bytes_raw(self) -> bytes:
-        rest = self.samples[1:]
-        return struct.pack(f"<{len(rest)}I", *rest)
+        """The bitvector's words, then the tables."""
+        return self.owner.to_bytes_raw() + b"".join(struct.pack(f"<{len(t)}I", *t) for t in self._tables())
 
     @staticmethod
     def _samples_from_bytes(owner: BitVector, ones: int, data, off: int):
@@ -285,12 +292,14 @@ class SelectIndex:
             return [], off
         first = next(((wi << 6) + (w & -w).bit_length() - 1 for wi, w in enumerate(owner.words) if w), None)
         if first is None:
-            raise ValueError(f"select directory for {ones} one-bits over an all-zero bitvector")
-        rest = list(struct.unpack_from(f"<{nsamples - 1}I", data, off))
-        return [first] + rest, off + 4 * (nsamples - 1)
+            raise FormatError(f"select directory for {ones} one-bits over an all-zero bitvector")
+        rest, off = read_words(data, off, nsamples - 1, "I")
+        return [first] + rest, off
 
     @classmethod
-    def from_bytes_raw(cls, owner: BitVector, ones: int, data, off: int):
+    def from_bytes_raw(cls, data, off: int, nbits: int, ones: int):
+        """The directory over an `nbits`-bit vector holding `ones` one-bits."""
+        owner, off = BitVector.from_bytes_raw(data, off, nbits)
         samples, off = cls._samples_from_bytes(owner, ones, data, off)
         return cls(owner, samples, ones), off
 
@@ -349,101 +358,82 @@ class RankSelectIndex(SelectIndex):
 
     # -- serialization ----------------------------------------------------
 
-    def aux_bits(self) -> int:
-        return 32 * len(self.block_counts) + super().aux_bits()
-
-    def to_bytes_raw(self) -> bytes:
-        return struct.pack(f"<{len(self.block_counts)}I", *self.block_counts) + super().to_bytes_raw()
+    def _tables(self) -> list:
+        return [self.block_counts] + super()._tables()
 
     @classmethod
-    def from_bytes_raw(cls, owner: BitVector, ones: int, data, off: int):
-        nblocks = (owner.nbits + RANK_BLOCK_BITS - 1) // RANK_BLOCK_BITS
-        counts = list(struct.unpack_from(f"<{nblocks}I", data, off))
-        off += 4 * nblocks
+    def from_bytes_raw(cls, data, off: int, nbits: int, ones: int):
+        owner, off = BitVector.from_bytes_raw(data, off, nbits)
+        counts, off = read_words(data, off, (nbits + RANK_BLOCK_BITS - 1) // RANK_BLOCK_BITS, "I")
         samples, off = cls._samples_from_bytes(owner, ones, data, off)
         return cls(owner, counts, samples), off
 
 
 class PackedIntArray:
-    """Immutable array of fixed-width non-negative integers."""
+    """Immutable array of fixed-width non-negative integers, concatenated
+    in one bitvector."""
 
-    __slots__ = ("width", "count", "words")
+    __slots__ = ("width", "count", "bits")
 
-    def __init__(self, width: int, count: int, words):
+    def __init__(self, width: int, count: int, bits: BitVector):
         self.width = width
         self.count = count
-        self.words = words
+        self.bits = bits
 
     @classmethod
     def from_values(cls, values, width: int) -> "PackedIntArray":
         w = BitWriter()
         for v in values:
             w.append_field(v, width)
-        bv = w.to_bitvector()
-        return cls(width, len(values), bv.words)
+        return cls(width, len(values), w.to_bitvector())
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.count:
             raise IndexError(f"index {i} out of range [0, {self.count})")
         width = self.width
-        if width == 0:
-            return 0
-        pos = i * width
-        w = pos >> 6
-        off = pos & 63
-        chunk = self.words[w] >> off
-        got = 64 - off
-        if got < width:
-            chunk |= self.words[w + 1] << got
-        return chunk & ((1 << width) - 1)
+        return self.bits.read_field(i * width, width)
 
     def __len__(self) -> int:
         return self.count
 
     def payload_bits(self) -> int:
-        return self.count * self.width
+        return self.bits.nbits
 
     def padding_bits(self) -> int:
-        return len(self.words) * 64 - self.payload_bits()
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("<QB", self.count, self.width) + self.to_bytes_raw()
+        return self.bits.padding_bits()
 
     def to_bytes_raw(self) -> bytes:
-        return b"".join(struct.pack("<Q", w) for w in self.words)
-
-    @classmethod
-    def from_bytes(cls, data, off: int = 0):
-        count, width = struct.unpack_from("<QB", data, off)
-        return cls.from_bytes_raw(data, off + 9, count, width)
+        return self.bits.to_bytes_raw()
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, count: int, width: int):
-        nwords = (count * width + 63) // 64
-        words = list(struct.unpack_from(f"<{nwords}Q", data, off))
-        return cls(width, count, words), off + 8 * nwords
+        bits, off = BitVector.from_bytes_raw(data, off, count * width)
+        return cls(width, count, bits), off
 
 
 class EliasFano:
     """Elias-Fano encoding of a non-decreasing integer sequence.
 
     Each value v < universe splits into `low_width` low bits, stored
-    packed, and a high part encoded in unary inside `high`: the k-th
-    value (0-indexed) sets bit (v >> low_width) + k.  select is one
-    select1 on the high bits plus one packed read.  The high bits carry a
-    select directory only: the count of ones is n_values, and nothing here
-    ranks.
+    packed, and a high part encoded in unary in the bitvector of
+    `high_rs`: the k-th value (0-indexed) sets bit (v >> low_width) + k.
+    select is one select1 on the high bits plus one packed read.
+    `high_rs` is a select directory only: the count of ones is n_values,
+    and nothing here ranks.
     """
 
-    __slots__ = ("n_values", "universe", "low_width", "lows", "high", "high_rs")
+    __slots__ = ("n_values", "universe", "low_width", "lows", "high_rs")
 
-    def __init__(self, n_values, universe, low_width, lows, high, high_rs):
+    def __init__(self, n_values, universe, low_width, lows, high_rs):
         self.n_values = n_values
         self.universe = universe
         self.low_width = low_width
         self.lows = lows
-        self.high = high
         self.high_rs = high_rs
+
+    @classmethod
+    def _empty(cls, universe):
+        return cls(0, universe, 0, PackedIntArray(0, 0, BitVector([], 0)), SelectIndex(BitVector([], 0)))
 
     @classmethod
     def encode(cls, values, universe: int) -> "EliasFano":
@@ -452,8 +442,7 @@ class EliasFano:
         if n == 0 or universe == 0:
             if n > 0:
                 raise ValueError("non-empty sequence needs universe >= 1")
-            empty = BitVector([], 0)
-            return cls(0, universe, 0, PackedIntArray(0, 0, []), empty, SelectIndex(empty))
+            return cls._empty(universe)
         if universe < 1:
             raise ValueError("universe must be >= 1")
         prev = 0
@@ -465,42 +454,27 @@ class EliasFano:
             prev = v
         lw = floor_log2_ratio(universe, n)
         lows = PackedIntArray.from_values([v & ((1 << lw) - 1) for v in values], lw)
-        high_len = n + ((universe - 1) >> lw)
-        high = BitVector.from_ones(high_len, [(v >> lw) + k for k, v in enumerate(values)])
-        return cls(n, universe, lw, lows, high, SelectIndex(high))
+        high = BitVector.from_ones(n + ((universe - 1) >> lw), [(v >> lw) + k for k, v in enumerate(values)])
+        return cls(n, universe, lw, lows, SelectIndex(high))
 
     def select(self, k: int) -> int:
         """k-th encoded value, 1-indexed."""
         if not 1 <= k <= self.n_values:
             raise IndexError(f"ordinal {k} out of range [1, {self.n_values}]")
-        pos = self.high_rs.select1(k)
-        return ((pos - (k - 1)) << self.low_width) | self.lows.get(k - 1)
+        lw = self.low_width
+        return ((self.high_rs.select1(k) - (k - 1)) << lw) | self.lows.bits.read_field((k - 1) * lw, lw)
 
     def select_run(self, k: int, count: int) -> list:
-        """Values k to k+count-1 (1-indexed): one select1 on the high bits,
-        then a forward scan to each next value, and one read of the lows."""
-        if count < 1:
-            return []
-        pos = self.high_rs.select1(k)
-        if k + count - 1 > self.n_values:
-            raise IndexError(f"run [{k}, {k + count - 1}] out of range [1, {self.n_values}]")
+        """Values k to k+count-1 (1-indexed): one select run on the high
+        bits and one read of the lows."""
+        highs = self.high_rs.select_run(k, count)
         lw = self.low_width
         mask = (1 << lw) - 1
-        lows = _read_span(self.lows.words, (k - 1) * lw, count * lw)
-        out = [((pos - k + 1) << lw) | (lows & mask)]
-        # the scan of SelectIndex.select_run, inlined: predict walks B-field
-        # offsets through here, and the high bits are dense enough that no
-        # word-skipping is needed
-        words = self.high.words
-        wi = pos >> 6
-        w = words[wi] & ~((2 << (pos & 63)) - 1)
-        for j in range(k, k + count - 1):
-            while not w:
-                wi += 1
-                w = words[wi]
+        lows = self.lows.bits.read_field((k - 1) * lw, len(highs) * lw)
+        out = []
+        for j, pos in enumerate(highs, k - 1):
+            out.append(((pos - j) << lw) | (lows & mask))
             lows >>= lw
-            out.append(((((wi << 6) | ((w & -w).bit_length() - 1)) - j) << lw) | (lows & mask))
-            w &= w - 1
         return out
 
     def pred(self, x: int):
@@ -525,13 +499,13 @@ class EliasFano:
     # -- size accounting ---------------------------------------------------
 
     def payload_bits(self) -> int:
-        return self.lows.payload_bits() + self.high.payload_bits()
+        return self.lows.payload_bits() + self.high_rs.payload_bits()
 
     def aux_bits(self) -> int:
         return self.high_rs.aux_bits()
 
     def padding_bits(self) -> int:
-        return self.lows.padding_bits() + self.high.padding_bits()
+        return self.lows.padding_bits() + self.high_rs.padding_bits()
 
     def size_report(self) -> dict:
         """Measured size against the classic 2n + n*ceil(log2(u/n)) bound."""
@@ -548,25 +522,14 @@ class EliasFano:
 
     # -- serialization ----------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        return struct.pack("<QQB", self.n_values, self.universe, self.low_width) + self.to_bytes_raw()
-
     def to_bytes_raw(self) -> bytes:
-        return self.lows.to_bytes_raw() + self.high.to_bytes_raw() + self.high_rs.to_bytes_raw()
-
-    @classmethod
-    def from_bytes(cls, data, off: int = 0):
-        n, universe, lw = struct.unpack_from("<QQB", data, off)
-        return cls.from_bytes_raw(data, off + 17, n, universe)
+        return self.lows.to_bytes_raw() + self.high_rs.to_bytes_raw()
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, n_values: int, universe: int):
         if n_values == 0:
-            empty = BitVector([], 0)
-            return cls(0, universe, 0, PackedIntArray(0, 0, []), empty, SelectIndex(empty)), off
+            return cls._empty(universe), off
         lw = floor_log2_ratio(universe, n_values)
         lows, off = PackedIntArray.from_bytes_raw(data, off, n_values, lw)
-        high_len = n_values + ((universe - 1) >> lw)
-        high, off = BitVector.from_bytes_raw(data, off, high_len)
-        rs, off = SelectIndex.from_bytes_raw(high, n_values, data, off)
-        return cls(n_values, universe, lw, lows, high, rs), off
+        high_rs, off = SelectIndex.from_bytes_raw(data, off, n_values + ((universe - 1) >> lw), n_values)
+        return cls(n_values, universe, lw, lows, high_rs), off

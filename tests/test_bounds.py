@@ -142,7 +142,7 @@ class TestBaselines:
 
     def test_la_constant_time_formula(self):
         ell, eps, u, n = 16, 2, 4096, 512
-        v2 = baseline_la_bits(ell, eps, u, n, "constant-time", c=2)
+        v2 = baseline_la_bits(ell, eps, u, n, "constant-time")
         expect = (
             ell * (2 * math.log2(u / ell) + 4 + 2 * math.log2(5))
             + log2_binomial(n, ell)
@@ -155,7 +155,7 @@ class TestBaselines:
         v1 = baseline_pgm_bits(ell, eps, u, n, "binary-search")
         expect = ell * (1.92 + math.log2(n * n / ell) + 2 * math.log2(u))
         assert abs(v1 - expect) < 1e-9
-        v2 = baseline_pgm_bits(ell, eps, u, n, "constant-time", c=2)
+        v2 = baseline_pgm_bits(ell, eps, u, n, "constant-time")
         expect2 = (
             ell * (1.92 + math.log2(n * n / ell) + math.log2(u))
             + log2_binomial(u, ell)

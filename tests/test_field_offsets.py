@@ -151,7 +151,7 @@ def test_elias_fano_trimmed_directory_round_trip(n):
         assert len(ef.high_rs.samples) == nsamples
         assert ef.aux_bits() == 32 * (nsamples - 1)
         raw = ef.to_bytes_raw()
-        assert len(raw) == 8 * (len(ef.lows.words) + len(ef.high.words)) + 4 * (nsamples - 1)
+        assert len(raw) == 8 * (len(ef.lows.bits.words) + len(ef.high_rs.owner.words)) + 4 * (nsamples - 1)
         ef2, off = EliasFano.from_bytes_raw(raw, 0, n, universe)
         assert off == len(raw)
         assert ef2.high_rs.samples == ef.high_rs.samples
@@ -169,11 +169,13 @@ def test_rank_select_directory_round_trip_and_runs(ones):
     positions = sorted(rng.sample(range(3000, length), ones))
     idx = RankSelectIndex(BitVector.from_ones(length, positions))
     raw = idx.to_bytes_raw()
+    nwords = len(idx.owner.words)
     nblocks = len(idx.block_counts)
-    assert len(raw) == 4 * nblocks + 4 * (len(idx.samples) - 1)
-    assert struct.unpack_from(f"<{nblocks}I", raw) == tuple(idx.block_counts)
-    idx2, off = RankSelectIndex.from_bytes_raw(idx.owner, ones, raw, 0)
+    assert len(raw) == 8 * nwords + 4 * nblocks + 4 * (len(idx.samples) - 1)
+    assert struct.unpack_from(f"<{nblocks}I", raw, 8 * nwords) == tuple(idx.block_counts)
+    idx2, off = RankSelectIndex.from_bytes_raw(raw, 0, length, ones)
     assert off == len(raw) and idx2.samples == idx.samples and idx2.total_ones == ones
+    assert idx2.owner.words == idx.owner.words and idx2.to_bytes_raw() == raw
     assert idx2.select_run(1, ones) == positions
     for k in rng.sample(range(1, ones + 1), min(ones, 20)):
         count = rng.randrange(1, ones - k + 2)

@@ -11,7 +11,6 @@ from plastore import (
     enumerate_pla_c,
     enumerate_pla_i,
     min_segments_bruteforce,
-    predict_c,
     predict_reference,
     encode_c,
 )
@@ -120,4 +119,4 @@ class TestPredictReference:
         pla = build_optimal_pla(points, 2)
         store = encode_c(pla, points)
         for x in range(1, points.n + 1):
-            assert predict_c(store, x) == predict_reference(pla, x)
+            assert store.predict(x) == predict_reference(pla, x)

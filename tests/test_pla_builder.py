@@ -29,8 +29,6 @@ class TestPointSeq:
         with pytest.raises(ValueError):
             PointSeq([1, 1, 2])
         with pytest.raises(ValueError):
-            PointSeq([1, 5], u=4)
-        with pytest.raises(ValueError):
             PointSeq([1, 2], setting="other")
 
     def test_plane_mapping(self):

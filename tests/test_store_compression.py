@@ -12,12 +12,8 @@ from plastore import (
     ProbeCounter,
     Segment,
     build_optimal_pla,
-    decode_segment_c,
     encode_c,
-    predict_c,
     predict_reference,
-    segment_of_c,
-    size_bits_c,
 )
 from plastore.store_compression import CompressedPlaC
 
@@ -42,7 +38,7 @@ class TestEncodeDecode:
         for mode in (MODE_EF, MODE_RS):
             pla, points, store = build_store([7], 1, mode)
             assert store.n == 1 and store.ell == 1
-            assert predict_c(store, 1) == 7
+            assert store.predict(1) == 7
             loaded = CompressedPlaC.from_bytes(store.to_bytes())
             assert loaded.decode_all_segments() == pla.segments
 
@@ -59,8 +55,8 @@ class TestEncodeDecode:
         for mode in (MODE_EF, MODE_RS):
             store = encode_c(pla, points, mode)
             for i, seg in enumerate(segs, start=1):
-                assert decode_segment_c(store, i) == seg
-            assert decode_segment_c(store, 3).last_y == store.u == 30
+                assert store.decode_segment(i) == seg
+            assert store.decode_segment(3).last_y == store.u == 30
 
     def test_zero_width_field_for_equal_first_values(self):
         # hand-built PLA where two segments share the first covered value;
@@ -71,7 +67,6 @@ class TestEncodeDecode:
         ]
         points = PointSeq.__new__(PointSeq)
         points.values = (7, 7, 7, 9)  # bypass strict-increase validation
-        points.u = 9
         points.setting = COMPRESSION
         pla = Pla(list(segs), epsilon=1, epsilon_eff=0, setting=COMPRESSION)
         for mode in (MODE_EF, MODE_RS):
@@ -100,13 +95,13 @@ class TestQueries:
     def test_segment_of_single(self):
         _, points, store = build_store([1, 2, 3], 1)
         for x in range(1, 4):
-            assert segment_of_c(store, x) == 1
+            assert store.segment_of(x) == 1
 
     def test_segment_boundaries(self):
         pla, points, store = build_store([1, 2, 3, 10, 11, 12, 30, 31, 33], 1)
         firsts = [s.first_x for s in pla.segments]
         for i, fx in enumerate(firsts, start=1):
-            assert segment_of_c(store, fx) == i
+            assert store.segment_of(fx) == i
 
     def test_segment_of_matches_linear_scan(self):
         rng = random.Random(6)
@@ -116,24 +111,24 @@ class TestQueries:
         firsts = [s.first_x for s in pla.segments]
         for x in range(1, points.n + 1):
             expect = sum(1 for f in firsts if f <= x)
-            assert segment_of_c(store_ef, x) == expect
-            assert segment_of_c(store_rs, x) == expect
+            assert store_ef.segment_of(x) == expect
+            assert store_rs.segment_of(x) == expect
 
     def test_range_errors(self):
         _, points, store = build_store([1, 2, 3], 1)
         for bad in (0, 4, -3):
             with pytest.raises(IndexError):
-                segment_of_c(store, bad)
+                store.segment_of(bad)
             with pytest.raises(IndexError):
-                predict_c(store, bad)
+                store.predict(bad)
         with pytest.raises(IndexError):
-            decode_segment_c(store, 2)
+            store.decode_segment(2)
 
     def test_predict_endpoints(self):
         pla, points, store = build_store([3, 6, 9, 40, 45, 50, 55], 1)
         for i, seg in enumerate(pla.segments, start=1):
-            assert predict_c(store, seg.first_x) == seg.intercept
-            assert predict_c(store, seg.last_x) == seg.final_y
+            assert store.predict(seg.first_x) == seg.intercept
+            assert store.predict(seg.last_x) == seg.final_y
 
     def test_predict_error_contract_and_reference(self):
         rng = random.Random(8)
@@ -141,7 +136,7 @@ class TestQueries:
             values = sorted(rng.sample(range(1, 100000), 3000))
             pla, points, store = build_store(values, 2, mode)
             for x in range(1, points.n + 1):
-                p = predict_c(store, x)
+                p = store.predict(x)
                 assert abs(p - values[x - 1]) <= store.epsilon_eff
                 assert p == predict_reference(pla, x)
 
@@ -151,8 +146,8 @@ class TestQueries:
         pla, points, ef = build_store(values, 4, MODE_EF)
         rs = encode_c(pla, points, MODE_RS)
         for x in range(1, points.n + 1):
-            assert segment_of_c(ef, x) == segment_of_c(rs, x)
-            assert predict_c(ef, x) == predict_c(rs, x)
+            assert ef.segment_of(x) == rs.segment_of(x)
+            assert ef.predict(x) == rs.predict(x)
 
     def test_access_formula_equals_sequential_unary_scan(self):
         # decoding first positions via select must match walking the
@@ -173,13 +168,13 @@ class TestQueries:
 class TestSizeAndSerialization:
     def test_delta_bits_exact(self):
         pla, points, store = build_store(sorted(random.Random(1).sample(range(1, 5000), 400)), 1)
-        budget = size_bits_c(store)
+        budget = store.size_bits()
         assert budget.components["delta_beta"] == store.ell * store.w_delta
         assert budget.components["delta_gamma"] == store.ell * store.w_delta
 
     def test_b_bits_exact(self):
         pla, points, store = build_store(sorted(random.Random(2).sample(range(1, 5000), 400)), 1)
-        budget = size_bits_c(store)
+        budget = store.size_bits()
         firsts_y = [s.first_y for s in pla.segments]
         expect = sum((b - a).bit_length() for a, b in zip(firsts_y, firsts_y[1:]))
         assert budget.components["b"] == expect
@@ -189,7 +184,7 @@ class TestSizeAndSerialization:
             pla, points, store = build_store(
                 sorted(random.Random(3).sample(range(1, 9000), 700)), 2, mode
             )
-            budget = size_bits_c(store)
+            budget = store.size_bits()
             data = store.to_bytes()
             assert budget.file_bits == len(data) * 8
             assert budget.total_bits == len(data) * 8 - budget.padding_bits
@@ -205,7 +200,7 @@ class TestSizeAndSerialization:
             assert loaded.decode_all_segments() == pla.segments
             assert loaded.header() == store.header()
             for x in rand_positions(points.n, 200, seed=5):
-                assert predict_c(loaded, x) == predict_c(store, x)
+                assert loaded.predict(x) == store.predict(x)
 
     def test_bad_magic_and_truncation(self):
         _, _, store = build_store([1, 2, 3, 9, 10, 11], 1)
@@ -226,7 +221,7 @@ class TestProbes:
             worst = 0
             for x in rand_positions(points.n, 50, seed=n):
                 pc = ProbeCounter()
-                predict_c(store, x, probes=pc)
+                store.predict(x, probes=pc)
                 worst = max(worst, pc.primitives)
             counts.add(worst)
         assert len(counts) == 1 and counts.pop() <= 16
@@ -240,7 +235,7 @@ class TestProbes:
         steps = []
         for x in rand_positions(points.n, 200, seed=99):
             pc = ProbeCounter()
-            predict_c(store, x, probes=pc)
+            store.predict(x, probes=pc)
             steps.append(pc.search_steps)
         assert sum(steps) / len(steps) <= math.log2(store.ell) + 2
 

@@ -13,12 +13,8 @@ from plastore import (
     ProbeCounter,
     Segment,
     build_optimal_pla,
-    decode_segment_i,
     encode_i,
-    predict_i,
     predict_reference,
-    segment_of_i,
-    size_bits_i,
 )
 from plastore.store_indexing import CompressedPlaI
 
@@ -36,7 +32,7 @@ class TestEncodeDecode:
         if store.mode == MODE_EF:
             assert store.x_ef.values() == [4]
         assert len(store.y_ef) == 0 and store.b_bits.nbits == 0
-        seg = decode_segment_i(store, 1)
+        seg = store.decode_segment(1)
         assert seg == pla.segments[0]
         assert seg.last_x == store.u and seg.last_y == points.n
 
@@ -44,7 +40,7 @@ class TestEncodeDecode:
         for mode in (MODE_EF, MODE_RS):
             pla, points, store = build_store([7], 1, mode)
             assert store.n == 1 and store.ell == 1 and store.u == 7
-            assert predict_i(store, 7) == 1
+            assert store.predict(7) == 1
             loaded = CompressedPlaI.from_bytes(store.to_bytes())
             assert loaded.decode_all_segments() == pla.segments
 
@@ -98,12 +94,12 @@ class TestQueries:
         values = sorted(rng.sample(range(1, 4000), 500))
         pla, points, store = build_store(values, 1)
         for i, seg in enumerate(pla.segments, start=1):
-            assert segment_of_i(store, seg.first_x) == i
+            assert store.segment_of(seg.first_x) == i
 
     def test_segment_of_single(self):
         pla, points, store = build_store([5, 10, 15], 1)
         for x in range(5, 16):
-            assert segment_of_i(store, x) == 1
+            assert store.segment_of(x) == 1
 
     def test_segment_of_matches_linear_scan(self):
         rng = random.Random(32)
@@ -113,27 +109,27 @@ class TestQueries:
         firsts = [s.first_x for s in pla.segments]
         for x in range(values[0], values[-1] + 1):
             expect = sum(1 for f in firsts if f <= x)
-            assert segment_of_i(ef, x) == expect
-            assert segment_of_i(rs, x) == expect
+            assert ef.segment_of(x) == expect
+            assert rs.segment_of(x) == expect
 
     def test_range_errors(self):
         pla, points, store = build_store([5, 10, 15], 1)
         with pytest.raises(IndexError):
-            segment_of_i(store, 4)
+            store.segment_of(4)
         with pytest.raises(IndexError):
-            predict_i(store, 2)
+            store.predict(2)
         with pytest.raises(IndexError):
-            predict_i(store, 16)
+            store.predict(16)
         with pytest.raises(IndexError):
-            decode_segment_i(store, 2)
+            store.decode_segment(2)
 
     def test_predict_endpoints(self):
         rng = random.Random(33)
         values = sorted(rng.sample(range(1, 6000), 800))
         pla, points, store = build_store(values, 1)
         for seg in pla.segments:
-            assert predict_i(store, seg.first_x) == seg.intercept
-            assert predict_i(store, seg.last_x) == seg.final_y
+            assert store.predict(seg.first_x) == seg.intercept
+            assert store.predict(seg.last_x) == seg.final_y
 
     def test_predict_error_contract_on_keys(self):
         rng = random.Random(34)
@@ -141,7 +137,7 @@ class TestQueries:
             values = sorted(rng.sample(range(1, 300000), 2500))
             pla, points, store = build_store(values, 2, mode)
             for rank, key in enumerate(values, start=1):
-                p = predict_i(store, key)
+                p = store.predict(key)
                 assert abs(p - rank) <= store.epsilon_eff
                 assert p == predict_reference(pla, key)
 
@@ -152,8 +148,8 @@ class TestQueries:
         rs = encode_i(pla, points, MODE_RS)
         for _ in range(2000):
             x = rng.randrange(values[0], values[-1] + 1)
-            assert segment_of_i(ef, x) == segment_of_i(rs, x)
-            assert predict_i(ef, x) == predict_i(rs, x)
+            assert ef.segment_of(x) == rs.segment_of(x)
+            assert ef.predict(x) == rs.predict(x)
 
     def test_access_formula_equals_sequential_unary_scan(self):
         # decoding via the select formulas must match walking the implied
@@ -185,7 +181,7 @@ class TestSizeAndSerialization:
         rng = random.Random(41)
         values = sorted(rng.sample(range(1, 30000), 1500))
         pla, points, store = build_store(values, 2)
-        budget = size_bits_i(store)
+        budget = store.size_bits()
         assert budget.components["delta_beta"] == store.ell * store.w_delta
         assert budget.components["delta_gamma"] == (store.ell - 1) * store.w_delta
         assert budget.components["gamma_last"] == store.w_delta
@@ -199,7 +195,7 @@ class TestSizeAndSerialization:
             values = sorted(rng.sample(range(1, 40000), 1100))
             pla, points, store = build_store(values, 1, mode)
             data = store.to_bytes()
-            budget = size_bits_i(store)
+            budget = store.size_bits()
             assert budget.file_bits == len(data) * 8
 
     def test_serialization_roundtrip(self):
@@ -213,7 +209,7 @@ class TestSizeAndSerialization:
             assert loaded.decode_all_segments() == pla.segments
             for _ in range(300):
                 x = rng.randrange(values[0], values[-1] + 1)
-                assert predict_i(loaded, x) == predict_i(store, x)
+                assert loaded.predict(x) == store.predict(x)
 
     def test_bad_magic(self):
         pla, points, store = build_store([2, 4, 6, 9], 1)
@@ -233,7 +229,7 @@ class TestProbes:
             for _ in range(50):
                 x = rng.randrange(values[0], values[-1] + 1)
                 pc = ProbeCounter()
-                predict_i(store, x, probes=pc)
+                store.predict(x, probes=pc)
                 worst = max(worst, pc.primitives)
             counts.add(worst)
         assert len(counts) == 1 and counts.pop() <= 16
@@ -246,6 +242,6 @@ class TestProbes:
         for _ in range(200):
             x = rng.randrange(values[0], values[-1] + 1)
             pc = ProbeCounter()
-            predict_i(store, x, probes=pc)
+            store.predict(x, probes=pc)
             steps.append(pc.search_steps)
         assert sum(steps) / len(steps) <= math.log2(store.ell) + 2
