@@ -10,7 +10,7 @@ cross-checks hold to ~1e-12 relative error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .container import BitBudget
 from .pla import COMPRESSION, INDEXING
@@ -201,34 +201,14 @@ class BoundReport:
     components: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "mode": self.mode,
-            "ell": self.ell,
-            "epsilon": self.epsilon,
-            "epsilon_eff": self.epsilon_eff,
-            "u": self.u,
-            "n": self.n,
-            "lower_bound_bits": self.lower_bound_bits,
-            "measured_bits": self.measured_bits,
-            "total_bits": self.total_bits,
-            "redundancy_bits": self.redundancy_bits,
-            "redundancy_per_segment": self.redundancy_per_segment,
-            "baseline_bits": dict(self.baseline_bits),
-            "components": dict(self.components),
-        }
+        return asdict(self)
 
     def as_text(self) -> str:
-        lines = []
-        d = self.as_dict()
-        for key in ("setting", "mode", "ell", "epsilon", "epsilon_eff", "u", "n",
-                    "lower_bound_bits", "measured_bits", "total_bits",
-                    "redundancy_bits", "redundancy_per_segment"):
-            lines.append(f"{key}={d[key]}")
-        for name, val in sorted(self.components.items()):
-            lines.append(f"component.{name}={val}")
-        for name, val in sorted(self.baseline_bits.items()):
-            lines.append(f"baseline.{name}={val}")
+        """One key=value line per scalar field, in declaration order, then
+        the components and the baselines, each sorted by name."""
+        lines = [f"{key}={val}" for key, val in self.as_dict().items() if not isinstance(val, dict)]
+        lines += [f"component.{name}={val}" for name, val in sorted(self.components.items())]
+        lines += [f"baseline.{name}={val}" for name, val in sorted(self.baseline_bits.items())]
         return "\n".join(lines)
 
 

@@ -16,7 +16,7 @@ import sys
 from . import bounds as bnd
 from .container import MODE_EF, MODE_RS
 from .errors import BudgetError, CoverageError, FormatError
-from .oracle import EnumSpec, enumerate_pla_c, enumerate_pla_i
+from .oracle import DEFAULT_BUDGET, EnumSpec, enumerate_pla_c, enumerate_pla_i
 from .pla import COMPRESSION, INDEXING, Pla, PointSeq, build_optimal_pla, interpolate, verify_error
 from .store_compression import CompressedPlaC, encode_c
 from .store_indexing import CompressedPlaI, encode_i
@@ -87,14 +87,19 @@ def cmd_predict(args) -> int:
             if not line:
                 continue
             x = int(line)
-            i = store.segment_of(x)
-            print(f"{x} {store.predict(x)} {i}")
+            print(x, *_predict(store, x))
         return 0
     if args.x is None:
         raise ValueError("predict needs --x or --batch")
-    i = store.segment_of(args.x)
-    print(f"{store.predict(args.x)} {i}")
+    print(*_predict(store, args.x))
     return 0
+
+
+def _predict(store, x):
+    """(value at x, covering segment's ordinal), with one search."""
+    i = store.segment_of(x)
+    seg = store.decode_segment(i)
+    return interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, x), i
 
 
 def _store_params(store, setting):
@@ -255,7 +260,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     oc = sub.add_parser("oracle-count", help="exhaustive enumeration vs the counting formula")
     add_param_flags(oc)
-    oc.add_argument("--budget", type=int, default=10**8)
+    oc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     oc.set_defaults(func=cmd_oracle_count)
     return p
 

@@ -207,17 +207,6 @@ class BitBudget:
         and the per-component length prefixes (the `header` entry)."""
         return self.total_bits - self.components.get("header", 0)
 
-    def as_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "mode": self.mode,
-            "components": dict(self.components),
-            "total_bits": self.total_bits,
-            "structure_bits": self.structure_bits,
-            "padding_bits": self.padding_bits,
-            "file_bits": self.file_bits,
-        }
-
 
 def pack_envelope(magic: bytes, mode: str, header: tuple) -> bytes:
     n, u, ell, epsilon, epsilon_eff, w_delta = header
@@ -370,8 +359,11 @@ class PlaContainer:
     # -- encoding ------------------------------------------------------------
 
     @classmethod
-    def from_pla(cls, pla, points, mode):
-        """Pack a PLA over `points`, after the setting's segment checks."""
+    def from_pla(cls, pla, points, mode=MODE_EF):
+        """Pack a PLA over `points` of this setting, after the setting's
+        segment checks."""
+        if pla.setting != cls.SETTING or points.setting != cls.SETTING:
+            raise ValueError(f"{cls.__name__} requires a {cls.SETTING}-setting PLA and sequence")
         if mode not in (MODE_EF, MODE_RS):
             raise ValueError(f"unknown mode {mode!r}")
         ell = pla.ell
@@ -497,14 +489,17 @@ class PlaContainer:
 
     # -- size accounting and serialization -----------------------------------
 
+    def components(self) -> dict:
+        """The six components by name, in serialized order."""
+        return {"x": self.x, "y": self.y_ef, "b": self.b_bits, "p": self.p_ef,
+                "delta_beta": self.d_beta, "delta_gamma": self.d_gamma}
+
     def size_bits(self) -> BitBudget:
         """Exact per-component bit accounting of the serialized container."""
         budget = BitBudget(setting=self.SETTING, mode=self.mode)
         c = budget.components
         c["header"] = ENVELOPE_BYTES * 8 + 32 * N_COMPONENTS
-        parts = {"x": self.x, "y": self.y_ef, "b": self.b_bits, "p": self.p_ef,
-                 "delta_beta": self.d_beta, "delta_gamma": self.d_gamma}
-        for name, part in parts.items():
+        for name, part in self.components().items():
             c[name] = part.payload_bits()
             budget.padding_bits += part.padding_bits()
         if self.GAMMA_LAST:
@@ -518,17 +513,9 @@ class PlaContainer:
         return self.mode == MODE_RS and self.RS_LENGTH_STORED
 
     def to_bytes(self) -> bytes:
-        x_raw = self.x.to_bytes_raw()
+        parts = [part.to_bytes_raw() for part in self.components().values()]
         if self._stores_x_length():
-            x_raw = struct.pack("<I", self.x.owner.nbits) + x_raw
-        parts = [
-            x_raw,
-            self.y_ef.to_bytes_raw(),
-            self.b_bits.to_bytes_raw(),
-            self.p_ef.to_bytes_raw(),
-            self.d_beta.to_bytes_raw(),
-            self.d_gamma.to_bytes_raw(),
-        ]
+            parts[0] = struct.pack("<I", self.x.owner.nbits) + parts[0]
         return pack_envelope(self.MAGIC, self.mode, self.header()) + pack_components(parts)
 
     @classmethod

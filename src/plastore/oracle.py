@@ -13,6 +13,7 @@ from .errors import BudgetError, CoverageError
 from .pla import COMPRESSION, INDEXING, PointSeq, Pla, interpolate
 
 DEFAULT_BUDGET = 10**8
+BRUTE_FORCE_MAX_N = 14  # the exhaustive minimal segmentation is exponential in n
 
 
 @dataclass
@@ -171,14 +172,14 @@ def _pair_feasible_table(xs, ys, eps):
     return feas
 
 
-def min_segments_bruteforce(points: PointSeq, epsilon: int, budget_n: int = 14) -> int:
+def min_segments_bruteforce(points: PointSeq, epsilon: int) -> int:
     """Minimum number of contiguous blocks, each admitting a line within
     epsilon, found by direct search over all partitions."""
     if epsilon < 1:
         raise ValueError("epsilon must be >= 1")
     n = points.n
-    if n > budget_n:
-        raise BudgetError(f"brute force limited to n <= {budget_n}, got {n}")
+    if n > BRUTE_FORCE_MAX_N:
+        raise BudgetError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")
     if n == 0:
         raise ValueError("empty sequence")
     if n == 1:
@@ -204,12 +205,12 @@ def min_segments_bruteforce(points: PointSeq, epsilon: int, budget_n: int = 14) 
     return best
 
 
-def min_segments_dp(points: PointSeq, epsilon: int, budget_n: int = 14) -> int:
+def min_segments_dp(points: PointSeq, epsilon: int) -> int:
     """Independent recomputation of the brute-force minimum via a
     shortest-cover table over the same feasibility relation."""
     n = points.n
-    if n > budget_n:
-        raise BudgetError(f"brute force limited to n <= {budget_n}, got {n}")
+    if n > BRUTE_FORCE_MAX_N:
+        raise BudgetError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")
     if n == 1:
         return 1
     xs, ys = points.plane_points()

@@ -97,17 +97,6 @@ class Pla:
         return len(self.segments)
 
 
-@dataclass
-class FeasiblePla:
-    """Segmentation plus, per segment, the exact feasible slope interval
-    ((lo_num, lo_den, hi_num, hi_den), or None for one-point segments)."""
-
-    spans: list
-    slopes: list
-    epsilon: int
-    setting: str
-
-
 def optimal_spans(xs, ys, eps):
     """Greedy longest feasible segments; optimal because feasibility of a
     point range is closed under taking subranges."""
@@ -236,8 +225,11 @@ def _nearest(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def round_to_integer_endpoints(fpla: FeasiblePla, points: PointSeq) -> Pla:
-    """Fix integer anchor ordinates for each feasible segment.
+def round_to_integer_endpoints(spans, slopes, epsilon: int, points: PointSeq) -> Pla:
+    """Fix integer anchor ordinates for each segment of `optimal_spans`:
+    `spans` holds its (first, last) point indices and `slopes` its exact
+    feasible slope interval ((lo_num, lo_den, hi_num, hi_den), or None for
+    a one-point segment).
 
     The representative line is the midpoint of the feasible slope interval
     with the intercept centered in its own feasible range; its values at
@@ -247,10 +239,9 @@ def round_to_integer_endpoints(fpla: FeasiblePla, points: PointSeq) -> Pla:
     """
     xs, ys = points.plane_points()
     xs_arr, ys_arr = _scan_arrays(xs, ys)
-    eps = fpla.epsilon
     segments = []
     eps_eff = 0
-    for (s, e), sl in zip(fpla.spans, fpla.slopes):
+    for (s, e), sl in zip(spans, slopes):
         if s == e:
             beta = gamma = ys[s]
         else:
@@ -280,9 +271,9 @@ def round_to_integer_endpoints(fpla: FeasiblePla, points: PointSeq) -> Pla:
             eps_eff = err
         segments.append(Segment(first_x=xs[s], last_x=xs[e], intercept=beta, final_y=gamma,
                                 first_y=ys[s], last_y=ys[e]))
-    if eps_eff > eps + 3:
+    if eps_eff > epsilon + 3:
         raise RuntimeError(f"rounded error {eps_eff} exceeds epsilon + 3")
-    return Pla(segments, eps, eps_eff, fpla.setting)
+    return Pla(segments, epsilon, eps_eff, points.setting)
 
 
 def build_optimal_pla(points: PointSeq, epsilon: int) -> Pla:
@@ -297,8 +288,7 @@ def build_optimal_pla(points: PointSeq, epsilon: int) -> Pla:
         seg = Segment(first_x=xs[0], last_x=xs[0], intercept=ys[0], final_y=ys[0], first_y=ys[0], last_y=ys[0])
         return Pla([seg], epsilon, 0, points.setting)
     spans, slopes = optimal_spans(xs, ys, epsilon)
-    fpla = FeasiblePla(spans, slopes, epsilon, points.setting)
-    return round_to_integer_endpoints(fpla, points)
+    return round_to_integer_endpoints(spans, slopes, epsilon, points)
 
 
 def verify_error(pla: Pla, points: PointSeq) -> int:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from .container import (
     ENVELOPE_BYTES,
-    MODE_EF,
     N_COMPONENTS,
     PlaContainer,
     unpack_components,
     unpack_envelope,
 )
-from .pla import COMPRESSION, Pla, PointSeq
+from .pla import COMPRESSION
 
 
 class CompressedPlaC(PlaContainer):
@@ -56,8 +55,4 @@ class CompressedPlaC(PlaContainer):
         return cls.from_parts(mode, header, unpack_components(data, ENVELOPE_BYTES, N_COMPONENTS))
 
 
-def encode_c(pla: Pla, points: PointSeq, mode: str = MODE_EF) -> CompressedPlaC:
-    """Pack a compression-setting PLA into its succinct container."""
-    if pla.setting != COMPRESSION or points.setting != COMPRESSION:
-        raise ValueError("encode_c requires a compression-setting PLA and sequence")
-    return CompressedPlaC.from_pla(pla, points, mode)
+encode_c = CompressedPlaC.from_pla

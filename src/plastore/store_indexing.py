@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from .container import (
     ENVELOPE_BYTES,
-    MODE_EF,
     N_COMPONENTS,
     PlaContainer,
     unpack_components,
     unpack_envelope,
 )
-from .pla import INDEXING, Pla, PointSeq
+from .pla import INDEXING
 
 
 class CompressedPlaI(PlaContainer):
@@ -62,8 +61,4 @@ class CompressedPlaI(PlaContainer):
         return cls.from_parts(mode, header, unpack_components(data, ENVELOPE_BYTES, N_COMPONENTS))
 
 
-def encode_i(pla: Pla, points: PointSeq, mode: str = MODE_EF) -> CompressedPlaI:
-    """Pack an indexing-setting PLA into its succinct container."""
-    if pla.setting != INDEXING or points.setting != INDEXING:
-        raise ValueError("encode_i requires an indexing-setting PLA and sequence")
-    return CompressedPlaI.from_pla(pla, points, mode)
+encode_i = CompressedPlaI.from_pla

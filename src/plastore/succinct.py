@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
+from itertools import islice
 
 from .errors import FormatError
 
@@ -88,9 +89,6 @@ class BitWriter:
         self._words = [0]
         self._nbits = 0
 
-    def append_bit(self, bit: int) -> None:
-        self.append_field(bit & 1, 1)
-
     def append_field(self, value: int, width: int) -> None:
         """Append `width` low bits of a non-negative value."""
         if width == 0:
@@ -127,10 +125,8 @@ class BitVector:
 
     @classmethod
     def from_bits(cls, bits) -> "BitVector":
-        w = BitWriter()
-        for b in bits:
-            w.append_bit(int(b))
-        return w.to_bitvector()
+        bits = [int(b) & 1 for b in bits]
+        return cls.from_ones(len(bits), [i for i, b in enumerate(bits) if b])
 
     @classmethod
     def from_ones(cls, length: int, one_positions) -> "BitVector":
@@ -184,6 +180,10 @@ class BitVector:
         return len(self.words) * 64 - self.nbits
 
 
+def _ones_error(ones: int) -> FormatError:
+    return FormatError(f"bitvector does not hold the {ones} one-bits its directory promises")
+
+
 def _scan_directory(bv: BitVector):
     """One pass over the words: the cumulative count before each rank
     block, the position of every SELECT_SAMPLE_RATE-th 1-bit, and the
@@ -232,14 +232,17 @@ class SelectIndex:
             return pos
         words = self.owner.words
         wi = pos >> 6
-        w = words[wi] & ~((1 << ((pos & 63) + 1)) - 1)
-        while True:
-            c = w.bit_count()
-            if c >= need:
-                return (wi << 6) + _select_in_word(w, need)
-            need -= c
-            wi += 1
-            w = words[wi]
+        try:
+            w = words[wi] & ~((1 << ((pos & 63) + 1)) - 1)
+            while True:
+                c = w.bit_count()
+                if c >= need:
+                    return (wi << 6) + _select_in_word(w, need)
+                need -= c
+                wi += 1
+                w = words[wi]
+        except IndexError:
+            raise _ones_error(self.total_ones) from None
 
     def select_run(self, k: int, count: int) -> list:
         """Positions of the k-th to (k+count-1)-th 1-bits: one select1,
@@ -253,13 +256,16 @@ class SelectIndex:
         words = self.owner.words
         next_word = self._next_word
         wi = pos >> 6
-        w = words[wi] & ~((2 << (pos & 63)) - 1)
-        for _ in range(count - 1):
-            while not w:
-                wi = next_word(wi)
-                w = words[wi]
-            out.append((wi << 6) | ((w & -w).bit_length() - 1))
-            w &= w - 1
+        try:
+            w = words[wi] & ~((2 << (pos & 63)) - 1)
+            for _ in range(count - 1):
+                while not w:
+                    wi = next_word(wi)
+                    w = words[wi]
+                out.append((wi << 6) | ((w & -w).bit_length() - 1))
+                w &= w - 1
+        except IndexError:
+            raise _ones_error(self.total_ones) from None
         return out
 
     def _next_word(self, wi: int) -> int:
@@ -298,8 +304,11 @@ class SelectIndex:
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, nbits: int, ones: int):
-        """The directory over an `nbits`-bit vector holding `ones` one-bits."""
+        """The directory over an `nbits`-bit vector holding `ones` one-bits;
+        FormatError if its words hold another count."""
         owner, off = BitVector.from_bytes_raw(data, off, nbits)
+        if sum(w.bit_count() for w in owner.words) != ones:
+            raise _ones_error(ones)
         samples, off = cls._samples_from_bytes(owner, ones, data, off)
         return cls(owner, samples, ones), off
 
@@ -366,7 +375,10 @@ class RankSelectIndex(SelectIndex):
         owner, off = BitVector.from_bytes_raw(data, off, nbits)
         counts, off = read_words(data, off, (nbits + RANK_BLOCK_BITS - 1) // RANK_BLOCK_BITS, "I")
         samples, off = cls._samples_from_bytes(owner, ones, data, off)
-        return cls(owner, counts, samples), off
+        rs = cls(owner, counts, samples)
+        if rs.total_ones != ones:
+            raise _ones_error(ones)
+        return rs, off
 
 
 class PackedIntArray:
@@ -466,15 +478,22 @@ class EliasFano:
 
     def select_run(self, k: int, count: int) -> list:
         """Values k to k+count-1 (1-indexed): one select run on the high
-        bits and one read of the lows."""
-        highs = self.high_rs.select_run(k, count)
+        bits, and one read of the lows per 64 values, so that a run costs
+        time linear in its length."""
+        highs = iter(self.high_rs.select_run(k, count))
         lw = self.low_width
         mask = (1 << lw) - 1
-        lows = self.lows.bits.read_field((k - 1) * lw, len(highs) * lw)
+        read = self.lows.bits.read_field
         out = []
-        for j, pos in enumerate(highs, k - 1):
-            out.append(((pos - j) << lw) | (lows & mask))
-            lows >>= lw
+        j = k - 1
+        end = j + count
+        while j < end:
+            m = min(64, end - j)
+            lows = read(j * lw, m * lw)
+            for pos in islice(highs, m):
+                out.append(((pos - j) << lw) | (lows & mask))
+                lows >>= lw
+                j += 1
         return out
 
     def pred(self, x: int):

@@ -56,3 +56,21 @@ def test_stats_on_a_flipped_universe_is_one_error_line(setting, tmp_path):
     assert code == 1 and stdout == ""
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+
+
+@pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
+@pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
+def test_flipped_bits_load_or_raise_format_error(setting, mode):
+    # a directory or bitvector that holds fewer ones than the header
+    # promises is refused at load, not left to a scan that runs off the end
+    cls = CODECS[setting][1]
+    data = container(setting, mode)
+    rng = random.Random(f"x-{setting}-{mode}")
+    for _ in range(MUTATIONS):
+        bad = bytearray(data)
+        bit = rng.randrange(8 * len(bad))
+        bad[bit >> 3] ^= 1 << (bit & 7)
+        try:
+            cls.from_bytes(bytes(bad))
+        except FormatError:
+            pass

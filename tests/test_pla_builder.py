@@ -17,7 +17,7 @@ from plastore import (
     verify_error,
 )
 from plastore.oracle import min_segments_dp
-from plastore.pla import FeasiblePla, interpolate, optimal_spans, round_to_integer_endpoints
+from plastore.pla import interpolate, optimal_spans, round_to_integer_endpoints
 from plastore.store_compression import CompressedPlaC
 from plastore.store_indexing import CompressedPlaI
 
@@ -134,7 +134,7 @@ class TestRounding:
         # line through midpoint of feasible intercepts at slope 2.3 over
         # points (1,2),(2,5): offsets t = y - a*(x-1): t1 = 2, t2 = 2.7 ->
         # beta = (2 + 2.7)/2 = 2.35 -> rounds to 2
-        pla = round_to_integer_endpoints(FeasiblePla(spans, slopes, 1, COMPRESSION), points)
+        pla = round_to_integer_endpoints(spans, slopes, 1, points)
         assert pla.segments[0].intercept == 2
 
     def test_rounding_error_bound_and_exact_scan(self):

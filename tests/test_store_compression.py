@@ -4,6 +4,7 @@ import pytest
 
 from plastore import (
     COMPRESSION,
+    INDEXING,
     FormatError,
     MODE_EF,
     MODE_RS,
@@ -79,6 +80,16 @@ class TestEncodeDecode:
         pla = build_optimal_pla(points, 1)
         with pytest.raises(ValueError):
             encode_c(pla, points)
+
+    @pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
+    def test_from_pla_refuses_other_setting(self, mode):
+        # the segments pass the setting's own checks; only a label is wrong
+        pla, points, _ = build_store([2, 4, 7, 9, 30, 31, 33], 1)
+        other_pla = Pla(pla.segments, pla.epsilon, pla.epsilon_eff, INDEXING)
+        other_points = PointSeq(points.values, setting=INDEXING)
+        for p, pts in ((other_pla, points), (pla, other_points)):
+            with pytest.raises(ValueError, match="compression-setting"):
+                CompressedPlaC.from_pla(p, pts, mode)
 
     def test_random_roundtrip(self):
         rng = random.Random(42)

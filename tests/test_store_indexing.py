@@ -4,6 +4,7 @@ import random
 import pytest
 
 from plastore import (
+    COMPRESSION,
     INDEXING,
     FormatError,
     MODE_EF,
@@ -76,6 +77,16 @@ class TestEncodeDecode:
         pla = build_optimal_pla(points, 1)
         with pytest.raises(ValueError):
             encode_i(pla, points)
+
+    @pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
+    def test_from_pla_refuses_other_setting(self, mode):
+        # the segments pass the setting's own checks; only a label is wrong
+        pla, points, _ = build_store(list(range(1, 41, 2)) + [60, 61, 62], 2)
+        other_pla = Pla(pla.segments, pla.epsilon, pla.epsilon_eff, COMPRESSION)
+        other_points = PointSeq(points.values, setting=COMPRESSION)
+        for p, pts in ((other_pla, points), (pla, other_points)):
+            with pytest.raises(ValueError, match="indexing-setting"):
+                CompressedPlaI.from_pla(p, pts, mode)
 
     def test_random_roundtrip(self):
         rng = random.Random(21)

@@ -181,6 +181,19 @@ class TestEliasFano:
             assert rep["core_bits"] <= rep["bound_bits"], (n, u, rep)
             assert rep["aux_bits"] >= 0
 
+    @pytest.mark.parametrize("ratio, low_width", ((1, 0), (2, 1), (37, 5), (1 << 20, 20)))
+    def test_select_run_matches_select_across_chunks(self, ratio, low_width):
+        # lows are read 64 values at a time: runs that end on, before and
+        # after a chunk boundary, from aligned and unaligned starts
+        n = 300
+        rng = random.Random(ratio)
+        ef = EliasFano.encode(sorted(rng.randrange(n * ratio) for _ in range(n)), n * ratio)
+        assert ef.low_width == low_width
+        for count in (63, 64, 65, 129, n):
+            for k in sorted({1, 2, 64, 65, n - count + 1}):
+                if k + count - 1 <= n:
+                    assert ef.select_run(k, count) == [ef.select(j) for j in range(k, k + count)], (k, count)
+
     def test_empty(self):
         ef = EliasFano.encode([], 0)
         assert len(ef) == 0
