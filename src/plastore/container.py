@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import FormatError
 from .pla import Segment, interpolate
-from .succinct import BitVector, BitWriter, EliasFano, PackedIntArray, RankSelectIndex, read_words
+from .succinct import BitVector, EliasFano, PackedIntArray, RankSelectIndex, Stored, read_words
 
 FORMAT_VERSION = 2
 
@@ -71,7 +72,7 @@ def unzigzag(z: int) -> int:
     return (z >> 1) if (z & 1) == 0 else -((z + 1) >> 1)
 
 
-class FieldOffsets:
+class FieldOffsets(Stored):
     """Start offsets of the ell - 1 variable-width B fields.
 
     Field i (1-indexed) is bit_length(c_{i+1} - c_i - bias) bits wide,
@@ -100,10 +101,11 @@ class FieldOffsets:
         self.bias = bias
 
     @classmethod
-    def encode(cls, offsets, total, coords, bias):
-        """From the ell - 1 field offsets and |B|."""
-        samples = PackedIntArray.from_values(offsets[OFFSET_SAMPLE_RATE::OFFSET_SAMPLE_RATE], total.bit_length())
-        return cls(len(offsets) + 1, total, samples, coords, bias)
+    def encode(cls, starts, coords, bias):
+        """From the ell - 1 field offsets followed by |B|."""
+        total = starts[-1]
+        samples = PackedIntArray.from_values(starts[OFFSET_SAMPLE_RATE:-1:OFFSET_SAMPLE_RATE], total.bit_length())
+        return cls(len(starts), total, samples, coords, bias)
 
     @classmethod
     def from_bytes_raw(cls, data, ell, coords, bias):
@@ -144,7 +146,10 @@ class FieldOffsets:
             c_i, c_next = cs[0], cs[1]
         if probes is not None:
             probes.primitives += min(up, down)
-        return c_i, start, (c_next - c_i - bias).bit_length()
+        width = (c_next - c_i - bias).bit_length()
+        if start < 0 or start + width > self.total:
+            raise FormatError(f"B field {i} at [{start}, {start + width}) leaves [0, {self.total}]")
+        return c_i, start, width
 
     def select(self, i):
         """Start offset of field i, or |B| for i == ell."""
@@ -152,14 +157,8 @@ class FieldOffsets:
             return self.total
         return self.field(i)[1]
 
-    def payload_bits(self) -> int:
-        return self.samples.payload_bits()
-
-    def padding_bits(self) -> int:
-        return self.samples.padding_bits()
-
-    def to_bytes_raw(self) -> bytes:
-        return self.samples.to_bytes_raw()
+    def _parts(self):
+        return self.samples._parts()
 
 
 class ProbeCounter:
@@ -227,6 +226,9 @@ def unpack_envelope(expected_magic: bytes, data) -> tuple:
         raise FormatError(f"unsupported format version {version}")
     if mode_code not in _MODE_NAME:
         raise FormatError(f"unknown mode byte {mode_code}")
+    if not 1 <= ell <= n <= u or epsilon < 1 or w_delta != (2 * epsilon_eff).bit_length():
+        raise FormatError(f"inconsistent header: n {n}, u {u}, ell {ell}, epsilon {epsilon}, "
+                          f"epsilon_eff {epsilon_eff}, w_delta {w_delta}")
     return _MODE_NAME[mode_code], (n, u, ell, epsilon, epsilon_eff, w_delta)
 
 
@@ -391,13 +393,11 @@ class PlaContainer:
         else:
             firsts, lasts = firsts_y, [s.last_y for s in segs]
         b = cls.B_BIAS
-        writer = BitWriter()
-        offsets = []
-        for i in range(ell - 1):
-            offsets.append(writer.bit_length)
-            writer.append_field(lasts[i] - firsts[i] - b, (firsts[i + 1] - firsts[i] - 2 * b).bit_length())
-        store.b_bits = writer.to_bitvector()
-        store.p_ef = FieldOffsets.encode(offsets, store.b_bits.nbits, *store.field_coords())
+        fields = [(lasts[i] - firsts[i] - b, (firsts[i + 1] - firsts[i] - 2 * b).bit_length())
+                  for i in range(ell - 1)]
+        store.b_bits = BitVector.from_fields(fields)
+        starts = list(accumulate([w for _, w in fields], initial=0))
+        store.p_ef = FieldOffsets.encode(starts, *store.field_coords())
 
         max_code = (1 << w_delta) - 1
         db = []
@@ -499,13 +499,15 @@ class PlaContainer:
         budget = BitBudget(setting=self.SETTING, mode=self.mode)
         c = budget.components
         c["header"] = ENVELOPE_BYTES * 8 + 32 * N_COMPONENTS
+        aux = 32 * self._stores_x_length()
         for name, part in self.components().items():
             c[name] = part.payload_bits()
             budget.padding_bits += part.padding_bits()
+            aux += part.aux_bits()
         if self.GAMMA_LAST:
             c["delta_gamma"] -= self.w_delta
             c["gamma_last"] = self.w_delta
-        c["aux"] = self.x.aux_bits() + 32 * self._stores_x_length() + self.y_ef.aux_bits()
+        c["aux"] = aux
         return budget
 
     def _stores_x_length(self):

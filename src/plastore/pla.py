@@ -247,13 +247,11 @@ def round_to_integer_endpoints(spans, slopes, epsilon: int, points: PointSeq) ->
         else:
             lo_n, lo_d, hi_n, hi_d = sl
             num_a = lo_n * hi_d + hi_n * lo_d
-            den_a = 2 * lo_d * hi_d
+            den_a = 2 * lo_d * hi_d  # > 0: lo_d and hi_d are x-gaps
             g = math.gcd(num_a, den_a)
             if g > 1:
                 num_a //= g
                 den_a //= g
-            if den_a < 0:
-                num_a, den_a = -num_a, -den_a
             x0 = xs[s]
             t_min = t_max = ys[s] * den_a - num_a * (xs[s] - x0)
             for j in range(s + 1, e + 1):
@@ -283,10 +281,6 @@ def build_optimal_pla(points: PointSeq, epsilon: int) -> Pla:
     if points.n == 0:
         raise ValueError("cannot build a PLA over an empty sequence")
     xs, ys = points.plane_points()
-    if points.n == 1:
-        # one-point segment: both anchors equal the single true ordinate
-        seg = Segment(first_x=xs[0], last_x=xs[0], intercept=ys[0], final_y=ys[0], first_y=ys[0], last_y=ys[0])
-        return Pla([seg], epsilon, 0, points.setting)
     spans, slopes = optimal_spans(xs, ys, epsilon)
     return round_to_integer_endpoints(spans, slopes, epsilon, points)
 

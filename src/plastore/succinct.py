@@ -9,14 +9,15 @@ Conventions used throughout the package:
 * every structure is immutable after construction and safe for any number
   of concurrent readers.
 
-Each stored type serializes to one raw little-endian form
-(``to_bytes_raw``) that omits every length derivable from context: the
-container header supplies the lengths back to ``from_bytes_raw``, which
-reads every word array through one checked reader (``read_words``) and
-raises FormatError when the payload is too short.  A rank/select
-directory owns its bitvector: it writes the bitvector's words, then its
-own tables, and reports the bits of both (``payload_bits``,
-``padding_bits``, ``aux_bits``).
+Every stored type is a ``Stored``: it lists its bitvectors and its u32
+tables (``_parts``), and is serialized as the words of the bitvectors,
+then the tables, in that order (``to_bytes_raw``).  Its sizes follow
+from the same list: ``payload_bits`` and ``padding_bits`` from the
+bitvectors, ``aux_bits`` from the tables.  The raw form omits every
+length derivable from context: the container header supplies the lengths
+back to ``from_bytes_raw``, which reads every word array through one
+checked reader (``read_words``) and raises FormatError when the payload
+is too short.
 """
 
 from __future__ import annotations
@@ -36,15 +37,6 @@ _WORD_MASK = (1 << WORD_BITS) - 1
 RANK_BLOCK_BITS = 512
 SELECT_SAMPLE_RATE = 512
 _BLOCK_WORDS = RANK_BLOCK_BITS // WORD_BITS
-
-
-def floor_log2_ratio(numer: int, denom: int) -> int:
-    """floor(log2(numer/denom)) for numer >= denom >= 1, else 0."""
-    if denom <= 0:
-        raise ValueError("denominator must be positive")
-    if numer < denom:
-        return 0
-    return (numer // denom).bit_length() - 1
 
 
 def read_words(data, off: int, count: int, code: str = "Q"):
@@ -82,39 +74,32 @@ def _select_in_word(w: int, k: int) -> int:
     return pos + _SELECT_IN_BYTE[w & 0xFF][k - 1]
 
 
-class BitWriter:
-    """Append-only accumulator of bits, least significant bit first."""
+class Stored:
+    """A structure stored as the words of its bitvectors, then its u32
+    tables; a subclass lists both in `_parts`."""
 
-    def __init__(self):
-        self._words = [0]
-        self._nbits = 0
+    __slots__ = ()
 
-    def append_field(self, value: int, width: int) -> None:
-        """Append `width` low bits of a non-negative value."""
-        if width == 0:
-            return
-        if value < 0 or value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        off = self._nbits & 63
-        self._words[-1] |= (value << off) & _WORD_MASK
-        written = 64 - off
-        while written < width:
-            self._words.append((value >> written) & _WORD_MASK)
-            written += 64
-        self._nbits += width
-        if self._nbits > len(self._words) * 64 - 64 and self._nbits % 64 == 0:
-            self._words.append(0)
+    def _parts(self):
+        """(bitvectors, u32 tables), each in serialized order."""
+        raise NotImplementedError
 
-    @property
-    def bit_length(self) -> int:
-        return self._nbits
+    def payload_bits(self) -> int:
+        return sum(bv.nbits for bv in self._parts()[0])
 
-    def to_bitvector(self) -> "BitVector":
-        nwords = (self._nbits + 63) // 64 if self._nbits else 0
-        return BitVector(self._words[:nwords], self._nbits)
+    def padding_bits(self) -> int:
+        return sum(64 * len(bv.words) - bv.nbits for bv in self._parts()[0])
+
+    def aux_bits(self) -> int:
+        return 32 * sum(len(t) for t in self._parts()[1])
+
+    def to_bytes_raw(self) -> bytes:
+        bitvectors, tables = self._parts()
+        return b"".join([struct.pack(f"<{len(bv.words)}Q", *bv.words) for bv in bitvectors]
+                        + [struct.pack(f"<{len(t)}I", *t) for t in tables])
 
 
-class BitVector:
+class BitVector(Stored):
     """Immutable packed sequence of bits."""
 
     __slots__ = ("words", "nbits")
@@ -137,6 +122,28 @@ class BitVector:
                 raise ValueError(f"bit position {p} out of range [0, {length})")
             words[p >> 6] |= 1 << (p & 63)
         return cls(words, length)
+
+    @classmethod
+    def from_fields(cls, fields) -> "BitVector":
+        """The (value, width) fields laid down one after another, least
+        significant bit first; ValueError if a value does not fit its
+        width."""
+        words = []
+        pending = 0  # the bits not yet in a word, fewer than 64
+        fill = 0
+        for value, width in fields:
+            if value >> width:  # also true for a negative value
+                raise ValueError(f"value {value} does not fit in {width} bits")
+            pending |= value << fill
+            fill += width
+            while fill >= 64:
+                words.append(pending & _WORD_MASK)
+                pending >>= 64
+                fill -= 64
+        nbits = 64 * len(words) + fill
+        if fill:
+            words.append(pending)
+        return cls(words, nbits)
 
     def get(self, pos: int) -> int:
         if not 0 <= pos < self.nbits:
@@ -165,19 +172,13 @@ class BitVector:
 
     # -- serialization ----------------------------------------------------
 
-    def to_bytes_raw(self) -> bytes:
-        return struct.pack(f"<{len(self.words)}Q", *self.words)
+    def _parts(self):
+        return (self,), ()
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, nbits: int):
         words, off = read_words(data, off, (nbits + 63) // 64)
         return cls(words, nbits), off
-
-    def payload_bits(self) -> int:
-        return self.nbits
-
-    def padding_bits(self) -> int:
-        return len(self.words) * 64 - self.nbits
 
 
 def _ones_error(ones: int) -> FormatError:
@@ -203,7 +204,7 @@ def _scan_directory(bv: BitVector):
     return counts, samples, ones
 
 
-class SelectIndex:
+class SelectIndex(Stored):
     """Sampled select directory over a BitVector.
 
     The position of every SELECT_SAMPLE_RATE-th one-bit is kept; select1
@@ -272,24 +273,11 @@ class SelectIndex:
         """Index of the next word that may hold a 1-bit after word wi."""
         return wi + 1
 
-    # -- size accounting and serialization ---------------------------------
+    # -- serialization ----------------------------------------------------
 
-    def _tables(self) -> list:
-        """The stored u32 tables, in serialized order."""
-        return [self.samples[1:]]
-
-    def payload_bits(self) -> int:
-        return self.owner.nbits
-
-    def padding_bits(self) -> int:
-        return self.owner.padding_bits()
-
-    def aux_bits(self) -> int:
-        return 32 * sum(len(t) for t in self._tables())
-
-    def to_bytes_raw(self) -> bytes:
-        """The bitvector's words, then the tables."""
-        return self.owner.to_bytes_raw() + b"".join(struct.pack(f"<{len(t)}I", *t) for t in self._tables())
+    def _parts(self):
+        # the first sample is found again at load
+        return (self.owner,), (self.samples[1:],)
 
     @staticmethod
     def _samples_from_bytes(owner: BitVector, ones: int, data, off: int):
@@ -367,8 +355,8 @@ class RankSelectIndex(SelectIndex):
 
     # -- serialization ----------------------------------------------------
 
-    def _tables(self) -> list:
-        return [self.block_counts] + super()._tables()
+    def _parts(self):
+        return (self.owner,), (self.block_counts, self.samples[1:])
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, nbits: int, ones: int):
@@ -381,7 +369,7 @@ class RankSelectIndex(SelectIndex):
         return rs, off
 
 
-class PackedIntArray:
+class PackedIntArray(Stored):
     """Immutable array of fixed-width non-negative integers, concatenated
     in one bitvector."""
 
@@ -394,10 +382,7 @@ class PackedIntArray:
 
     @classmethod
     def from_values(cls, values, width: int) -> "PackedIntArray":
-        w = BitWriter()
-        for v in values:
-            w.append_field(v, width)
-        return cls(width, len(values), w.to_bitvector())
+        return cls(width, len(values), BitVector.from_fields([(v, width) for v in values]))
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.count:
@@ -408,14 +393,8 @@ class PackedIntArray:
     def __len__(self) -> int:
         return self.count
 
-    def payload_bits(self) -> int:
-        return self.bits.nbits
-
-    def padding_bits(self) -> int:
-        return self.bits.padding_bits()
-
-    def to_bytes_raw(self) -> bytes:
-        return self.bits.to_bytes_raw()
+    def _parts(self):
+        return (self.bits,), ()
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, count: int, width: int):
@@ -423,7 +402,7 @@ class PackedIntArray:
         return cls(width, count, bits), off
 
 
-class EliasFano:
+class EliasFano(Stored):
     """Elias-Fano encoding of a non-decreasing integer sequence.
 
     Each value v < universe splits into `low_width` low bits, stored
@@ -447,6 +426,14 @@ class EliasFano:
     def _empty(cls, universe):
         return cls(0, universe, 0, PackedIntArray(0, 0, BitVector([], 0)), SelectIndex(BitVector([], 0)))
 
+    @staticmethod
+    def shape(n: int, universe: int):
+        """(low_width, length of the high bits) of n >= 1 values below
+        universe >= 1: low_width = floor(log2(universe / n)), or 0 when
+        universe < n."""
+        lw = max(0, (universe // n).bit_length() - 1)
+        return lw, n + ((universe - 1) >> lw)
+
     @classmethod
     def encode(cls, values, universe: int) -> "EliasFano":
         values = list(values)
@@ -464,9 +451,9 @@ class EliasFano:
             if not 0 <= v < universe:
                 raise ValueError(f"value {v} outside [0, {universe})")
             prev = v
-        lw = floor_log2_ratio(universe, n)
+        lw, high_len = cls.shape(n, universe)
         lows = PackedIntArray.from_values([v & ((1 << lw) - 1) for v in values], lw)
-        high = BitVector.from_ones(n + ((universe - 1) >> lw), [(v >> lw) + k for k, v in enumerate(values)])
+        high = BitVector.from_ones(high_len, [(v >> lw) + k for k, v in enumerate(values)])
         return cls(n, universe, lw, lows, SelectIndex(high))
 
     def select(self, k: int) -> int:
@@ -515,17 +502,6 @@ class EliasFano:
     def __len__(self) -> int:
         return self.n_values
 
-    # -- size accounting ---------------------------------------------------
-
-    def payload_bits(self) -> int:
-        return self.lows.payload_bits() + self.high_rs.payload_bits()
-
-    def aux_bits(self) -> int:
-        return self.high_rs.aux_bits()
-
-    def padding_bits(self) -> int:
-        return self.lows.padding_bits() + self.high_rs.padding_bits()
-
     def size_report(self) -> dict:
         """Measured size against the classic 2n + n*ceil(log2(u/n)) bound."""
         n, u = self.n_values, self.universe
@@ -541,14 +517,14 @@ class EliasFano:
 
     # -- serialization ----------------------------------------------------
 
-    def to_bytes_raw(self) -> bytes:
-        return self.lows.to_bytes_raw() + self.high_rs.to_bytes_raw()
+    def _parts(self):
+        return (self.lows.bits, self.high_rs.owner), self.high_rs._parts()[1]
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, n_values: int, universe: int):
         if n_values == 0:
             return cls._empty(universe), off
-        lw = floor_log2_ratio(universe, n_values)
+        lw, high_len = cls.shape(n_values, universe)
         lows, off = PackedIntArray.from_bytes_raw(data, off, n_values, lw)
-        high_rs, off = SelectIndex.from_bytes_raw(data, off, n_values + ((universe - 1) >> lw), n_values)
+        high_rs, off = SelectIndex.from_bytes_raw(data, off, high_len, n_values)
         return cls(n_values, universe, lw, lows, high_rs), off

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from plastore.succinct import (
     BitVector,
-    BitWriter,
     EliasFano,
     PackedIntArray,
     RankSelectIndex,
@@ -78,12 +77,9 @@ class TestRankSelect:
 
 
 class TestBitOps:
-    def test_writer_fields_cross_word_boundaries(self):
-        w = BitWriter()
+    def test_fields_cross_word_boundaries(self):
         vals = [(0b1011, 4), (0xFFFFFFFFFFFFFFF, 60), ((1 << 64) - 1, 64), (0, 3), (5, 3)]
-        for v, width in vals:
-            w.append_field(v, width)
-        bv = w.to_bitvector()
+        bv = BitVector.from_fields(vals)
         pos = 0
         for v, width in vals:
             assert bv.read_field(pos, width) == v
@@ -91,9 +87,8 @@ class TestBitOps:
         assert bv.nbits == pos
 
     def test_field_too_wide_rejected(self):
-        w = BitWriter()
         with pytest.raises(ValueError):
-            w.append_field(8, 3)
+            BitVector.from_fields([(8, 3)])
 
     def test_packed_array_roundtrip(self):
         rng = random.Random(3)
