@@ -226,7 +226,8 @@ def unpack_envelope(expected_magic: bytes, data) -> tuple:
         raise FormatError(f"unsupported format version {version}")
     if mode_code not in _MODE_NAME:
         raise FormatError(f"unknown mode byte {mode_code}")
-    if not 1 <= ell <= n <= u or epsilon < 1 or w_delta != (2 * epsilon_eff).bit_length():
+    if (not 1 <= ell <= n <= u or epsilon < 1 or epsilon_eff > epsilon + 3
+            or w_delta != (2 * epsilon_eff).bit_length()):
         raise FormatError(f"inconsistent header: n {n}, u {u}, ell {ell}, epsilon {epsilon}, "
                           f"epsilon_eff {epsilon_eff}, w_delta {w_delta}")
     return _MODE_NAME[mode_code], (n, u, ell, epsilon, epsilon_eff, w_delta)
@@ -373,6 +374,12 @@ class PlaContainer:
             raise ValueError("cannot encode an empty PLA")
         n = points.n
         u = points.values[-1]  # container universe: the final sequence value
+        w_delta = (2 * pla.epsilon_eff).bit_length()
+        header = (n, u, ell, pla.epsilon, pla.epsilon_eff, w_delta)
+        if max(header) >> 64:
+            raise ValueError(f"header value {max(header)} does not fit in 64 bits")
+        if pla.epsilon_eff > pla.epsilon + 3:
+            raise ValueError(f"epsilon_eff {pla.epsilon_eff} exceeds epsilon + 3 = {pla.epsilon + 3}")
         segs = pla.segments
         cls.check_segments(segs, n, u, pla.epsilon)
 
@@ -383,9 +390,9 @@ class PlaContainer:
             x = xr.encode(firsts_x)
         else:
             x_len = max(xr.end - xr.shift, firsts_x[-1]) if cls.RS_LENGTH_STORED else max(0, xr.end - xr.skip)
+            if x_len >> 32:  # its length and select samples are stored as u32
+                raise ValueError(f"rs bitvector of {x_len} bits exceeds the format's 2^32 - 1; use ef mode")
             x = RankSelectIndex(BitVector.from_ones(x_len, [c - 1 - xr.skip for c in firsts_x[xr.skip:]]))
-        w_delta = (2 * pla.epsilon_eff).bit_length()
-        header = (n, u, ell, pla.epsilon, pla.epsilon_eff, w_delta)
         store = cls(mode, header, x, yr.encode(firsts_y))
 
         if cls.VALUE_AXIS == "x":
@@ -431,9 +438,12 @@ class PlaContainer:
         if self.mode == MODE_RS:
             if probes is not None:
                 probes.primitives += 1
-            i = skip + self.x.rank1(min(x - skip, self.x.owner.nbits))
-            if i:
+            pos = min(x - skip, self.x.owner.nbits)
+            i = skip + self.x.rank1(pos)
+            if 0 < i <= self.ell:
                 return i
+            if i or self.x.select1(1) < pos:  # a rank past the last one-bit, or none before a one-bit
+                raise FormatError(f"X ranks key {x} at {i - skip} of {self.ell - skip}: its block counts are corrupt")
         elif skip or x >= ax.first(1, probes):
             # binary search over the stored ordinals k = i - skip:
             # c_i <= x iff s_k + shift*k <= x - base - shift*(skip - 1)

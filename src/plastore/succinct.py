@@ -18,6 +18,14 @@ length derivable from context: the container header supplies the lengths
 back to ``from_bytes_raw``, which reads every word array through one
 checked reader (``read_words``) and raises FormatError when the payload
 is too short.
+
+One directory type, ``RankSelectIndex``, serves every bitvector that is
+ranked or selected.  Its rank block counts and select samples are always
+in memory; its owner chooses which are stored.  The rs X bitvector
+stores both, and load trusts them, since rescanning a universe-sized
+vector costs more than the rest of the load.  Elias-Fano high bits store
+only the select samples after the first, and load rebuilds the whole
+directory from the high bits and checks it against them.
 """
 
 from __future__ import annotations
@@ -204,23 +212,45 @@ def _scan_directory(bv: BitVector):
     return counts, samples, ones
 
 
-class SelectIndex(Stored):
-    """Sampled select directory over a BitVector.
+class RankSelectIndex(Stored):
+    """Rank and sampled select directories over a BitVector: the count of
+    one-bits before each RANK_BLOCK_BITS-bit block, and the position of
+    every SELECT_SAMPLE_RATE-th one-bit.
 
-    The position of every SELECT_SAMPLE_RATE-th one-bit is kept; select1
-    starts from the nearest sample and scans forward by whole words.  The
-    first sample is the first one-bit of the vector, so it is found again
-    at load rather than serialized.
+    rank1 touches one block count plus at most eight word popcounts;
+    select1 starts from the nearest sample and scans forward by whole
+    words; select_run scans on from there, skipping every rank block
+    without a one-bit.  Both tables are kept in memory; which of them is
+    stored is the owner's choice (`_parts`).  The first sample is the
+    first one-bit of the vector, so it is never stored.
     """
 
-    __slots__ = ("owner", "samples", "total_ones")
+    __slots__ = ("owner", "block_counts", "samples", "total_ones")
 
-    def __init__(self, owner: BitVector, samples=None, total_ones=None):
+    def __init__(self, owner: BitVector, directory=None):
+        """`directory` is (block counts, samples, count of ones), as
+        `_scan_directory` returns them; scanned from `owner` if omitted."""
         self.owner = owner
-        if samples is None:
-            _, samples, total_ones = _scan_directory(owner)
-        self.samples = samples
-        self.total_ones = total_ones
+        if directory is None:
+            directory = _scan_directory(owner)
+        self.block_counts, self.samples, self.total_ones = directory
+
+    def rank1(self, pos: int) -> int:
+        """Count of 1-bits in positions [0, pos)."""
+        if not 0 <= pos <= self.owner.nbits:
+            raise IndexError(f"rank position {pos} out of range [0, {self.owner.nbits}]")
+        words = self.owner.words
+        b = pos // RANK_BLOCK_BITS
+        if b >= len(self.block_counts):
+            return self.total_ones
+        c = self.block_counts[b]
+        target = pos >> 6
+        for wi in range(b * _BLOCK_WORDS, target):
+            c += words[wi].bit_count()
+        rem = pos & 63
+        if rem:
+            c += (words[target] & ((1 << rem) - 1)).bit_count()
+        return c
 
     def select1(self, k: int) -> int:
         """Position of the k-th 1-bit, 1-indexed."""
@@ -255,103 +285,24 @@ class SelectIndex(Stored):
         pos = self.select1(k)
         out = [pos]
         words = self.owner.words
-        next_word = self._next_word
+        counts = self.block_counts
         wi = pos >> 6
         try:
             w = words[wi] & ~((2 << (pos & 63)) - 1)
             for _ in range(count - 1):
                 while not w:
-                    wi = next_word(wi)
+                    wi += 1
+                    if not wi % _BLOCK_WORDS:
+                        b = wi // _BLOCK_WORDS
+                        if b < len(counts):
+                            # entering a block: skip every following block without a 1-bit
+                            wi = max(wi, (bisect_right(counts, counts[b]) - 1) * _BLOCK_WORDS)
                     w = words[wi]
                 out.append((wi << 6) | ((w & -w).bit_length() - 1))
                 w &= w - 1
         except IndexError:
             raise _ones_error(self.total_ones) from None
         return out
-
-    def _next_word(self, wi: int) -> int:
-        """Index of the next word that may hold a 1-bit after word wi."""
-        return wi + 1
-
-    # -- serialization ----------------------------------------------------
-
-    def _parts(self):
-        # the first sample is found again at load
-        return (self.owner,), (self.samples[1:],)
-
-    @staticmethod
-    def _samples_from_bytes(owner: BitVector, ones: int, data, off: int):
-        nsamples = (ones + SELECT_SAMPLE_RATE - 1) // SELECT_SAMPLE_RATE
-        if nsamples == 0:
-            return [], off
-        first = next(((wi << 6) + (w & -w).bit_length() - 1 for wi, w in enumerate(owner.words) if w), None)
-        if first is None:
-            raise FormatError(f"select directory for {ones} one-bits over an all-zero bitvector")
-        rest, off = read_words(data, off, nsamples - 1, "I")
-        return [first] + rest, off
-
-    @classmethod
-    def from_bytes_raw(cls, data, off: int, nbits: int, ones: int):
-        """The directory over an `nbits`-bit vector holding `ones` one-bits;
-        FormatError if its words hold another count."""
-        owner, off = BitVector.from_bytes_raw(data, off, nbits)
-        if sum(w.bit_count() for w in owner.words) != ones:
-            raise _ones_error(ones)
-        samples, off = cls._samples_from_bytes(owner, ones, data, off)
-        return cls(owner, samples, ones), off
-
-
-class RankSelectIndex(SelectIndex):
-    """Constant-time rank and sampled select directories over a BitVector.
-
-    rank1 touches one cumulative block count plus at most eight word
-    popcounts; select1 starts from the nearest sampled one-position and
-    scans forward by whole words.
-    """
-
-    __slots__ = ("block_counts",)
-
-    def __init__(self, owner: BitVector, block_counts=None, samples=None):
-        if block_counts is None:
-            block_counts, samples, _ = _scan_directory(owner)
-        nblocks = len(block_counts)
-        if nblocks:
-            tail = 0
-            for w in owner.words[(nblocks - 1) * _BLOCK_WORDS:]:
-                tail += w.bit_count()
-            total_ones = block_counts[nblocks - 1] + tail
-        else:
-            total_ones = 0
-        super().__init__(owner, samples, total_ones)
-        self.block_counts = block_counts
-
-    def rank1(self, pos: int) -> int:
-        """Count of 1-bits in positions [0, pos)."""
-        if not 0 <= pos <= self.owner.nbits:
-            raise IndexError(f"rank position {pos} out of range [0, {self.owner.nbits}]")
-        words = self.owner.words
-        b = pos // RANK_BLOCK_BITS
-        if b >= len(self.block_counts):
-            return self.total_ones
-        c = self.block_counts[b]
-        target = pos >> 6
-        for wi in range(b * _BLOCK_WORDS, target):
-            c += words[wi].bit_count()
-        rem = pos & 63
-        if rem:
-            c += (words[target] & ((1 << rem) - 1)).bit_count()
-        return c
-
-    def _next_word(self, wi: int) -> int:
-        # entering a block: skip every following block without a 1-bit
-        wi += 1
-        if wi % _BLOCK_WORDS:
-            return wi
-        counts = self.block_counts
-        b = wi // _BLOCK_WORDS
-        if b >= len(counts):
-            return wi
-        return max(wi, (bisect_right(counts, counts[b]) - 1) * _BLOCK_WORDS)
 
     # -- serialization ----------------------------------------------------
 
@@ -360,13 +311,23 @@ class RankSelectIndex(SelectIndex):
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, nbits: int, ones: int):
+        """The directory over an `nbits`-bit vector holding `ones` one-bits,
+        with both tables as stored: the vector is not rescanned, only its
+        last block is counted.  FormatError if that count is not `ones`."""
         owner, off = BitVector.from_bytes_raw(data, off, nbits)
-        counts, off = read_words(data, off, (nbits + RANK_BLOCK_BITS - 1) // RANK_BLOCK_BITS, "I")
-        samples, off = cls._samples_from_bytes(owner, ones, data, off)
-        rs = cls(owner, counts, samples)
-        if rs.total_ones != ones:
+        nblocks = (nbits + RANK_BLOCK_BITS - 1) // RANK_BLOCK_BITS
+        counts, off = read_words(data, off, nblocks, "I")
+        tail = owner.words[(nblocks - 1) * _BLOCK_WORDS:]
+        if (counts[-1] + sum(w.bit_count() for w in tail) if nblocks else 0) != ones:
             raise _ones_error(ones)
-        return rs, off
+        samples = []
+        if ones:
+            first = next(((wi << 6) + (w & -w).bit_length() - 1 for wi, w in enumerate(owner.words) if w), None)
+            if first is None:
+                raise FormatError(f"select directory for {ones} one-bits over an all-zero bitvector")
+            samples, off = read_words(data, off, (ones - 1) // SELECT_SAMPLE_RATE, "I")
+            samples.insert(0, first)
+        return cls(owner, (counts, samples, ones)), off
 
 
 class PackedIntArray(Stored):
@@ -408,9 +369,11 @@ class EliasFano(Stored):
     Each value v < universe splits into `low_width` low bits, stored
     packed, and a high part encoded in unary in the bitvector of
     `high_rs`: the k-th value (0-indexed) sets bit (v >> low_width) + k.
-    select is one select1 on the high bits plus one packed read.
-    `high_rs` is a select directory only: the count of ones is n_values,
-    and nothing here ranks.
+    select is one select1 on the high bits plus one packed read.  Of
+    `high_rs`'s directory only the select samples after the first are
+    stored; load rebuilds the directory from the high bits and refuses a
+    payload whose count of ones is not n_values or whose stored samples
+    differ from the rebuilt ones.
     """
 
     __slots__ = ("n_values", "universe", "low_width", "lows", "high_rs")
@@ -424,7 +387,7 @@ class EliasFano(Stored):
 
     @classmethod
     def _empty(cls, universe):
-        return cls(0, universe, 0, PackedIntArray(0, 0, BitVector([], 0)), SelectIndex(BitVector([], 0)))
+        return cls(0, universe, 0, PackedIntArray(0, 0, BitVector([], 0)), RankSelectIndex(BitVector([], 0)))
 
     @staticmethod
     def shape(n: int, universe: int):
@@ -454,7 +417,7 @@ class EliasFano(Stored):
         lw, high_len = cls.shape(n, universe)
         lows = PackedIntArray.from_values([v & ((1 << lw) - 1) for v in values], lw)
         high = BitVector.from_ones(high_len, [(v >> lw) + k for k, v in enumerate(values)])
-        return cls(n, universe, lw, lows, SelectIndex(high))
+        return cls(n, universe, lw, lows, RankSelectIndex(high))
 
     def select(self, k: int) -> int:
         """k-th encoded value, 1-indexed."""
@@ -502,23 +465,10 @@ class EliasFano(Stored):
     def __len__(self) -> int:
         return self.n_values
 
-    def size_report(self) -> dict:
-        """Measured size against the classic 2n + n*ceil(log2(u/n)) bound."""
-        n, u = self.n_values, self.universe
-        core = self.payload_bits()
-        if n == 0:
-            return {"core_bits": core, "bound_bits": 0, "aux_bits": self.aux_bits()}
-        w = 0
-        while n << (w + 1) <= u:
-            w += 1
-        if n << w < u:
-            w += 1  # ceil(log2(u/n))
-        return {"core_bits": core, "bound_bits": 2 * n + n * w, "aux_bits": self.aux_bits()}
-
     # -- serialization ----------------------------------------------------
 
     def _parts(self):
-        return (self.lows.bits, self.high_rs.owner), self.high_rs._parts()[1]
+        return (self.lows.bits, self.high_rs.owner), (self.high_rs.samples[1:],)
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, n_values: int, universe: int):
@@ -526,5 +476,11 @@ class EliasFano(Stored):
             return cls._empty(universe), off
         lw, high_len = cls.shape(n_values, universe)
         lows, off = PackedIntArray.from_bytes_raw(data, off, n_values, lw)
-        high_rs, off = SelectIndex.from_bytes_raw(data, off, high_len, n_values)
-        return cls(n_values, universe, lw, lows, high_rs), off
+        high, off = BitVector.from_bytes_raw(data, off, high_len)
+        counts, samples, ones = _scan_directory(high)
+        if ones != n_values:
+            raise _ones_error(n_values)
+        stored, off = read_words(data, off, len(samples) - 1, "I")
+        if stored != samples[1:]:
+            raise FormatError("Elias-Fano select samples differ from the high bits")
+        return cls(n_values, universe, lw, lows, RankSelectIndex(high, (counts, samples, ones))), off

@@ -116,6 +116,17 @@ class TestBuildPredictVerify:
             assert code == 0 and stderr == "", (args[0], stderr)
         assert stdout.split()[1] == "1"
 
+    @pytest.mark.parametrize("setting", ["compression", "indexing"])
+    @pytest.mark.parametrize("last, epsilon", [(2**70, 1), (1000, 2**64)])
+    def test_header_value_above_u64_is_one_error_line(self, tmp_path, setting, last, epsilon):
+        inp = tmp_path / "in.txt"
+        inp.write_text(f"1\n5\n9\n{last}\n")
+        out = tmp_path / "h.pla"
+        code, stdout, stderr = run_cli(["build", "--setting", setting, "--epsilon", str(epsilon),
+                                        "--input", str(inp), "--output", str(out)])
+        assert code == 1 and stdout == "" and not out.exists()
+        assert stderr == f"error: header value {max(last, epsilon)} does not fit in 64 bits\n", stderr
+
     def test_ingestion_error_line_number(self, tmp_path):
         inp = tmp_path / "in.txt"
         inp.write_text("1\n5\n4\n9\n")

@@ -1,6 +1,7 @@
 """Corrupted containers: seeded truncations and bit flips of one
-3000-key container per setting and mode, forged header fields, and
-fuzzed mutations of small containers.  Loading is refused with an
+3000-key container per setting and mode, flipped Elias-Fano select
+samples and forged rank block counts, forged header fields, and fuzzed
+mutations of small containers.  Loading is refused with an
 error that the CLI reports as one `error:` line (FormatError is a
 ValueError), never with a struct.error traceback."""
 
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, FormatError, PointSeq, build_optimal_pla
-from plastore.container import ENVELOPE_FMT
+from plastore.container import ENVELOPE_BYTES, ENVELOPE_FMT
 from plastore.store_compression import CompressedPlaC, encode_c
 from plastore.store_indexing import CompressedPlaI, encode_i
+from plastore.succinct import RANK_BLOCK_BITS, SELECT_SAMPLE_RATE
 from test_cli import run_cli
 
 CODECS = {COMPRESSION: (encode_c, CompressedPlaC), INDEXING: (encode_i, CompressedPlaI)}
@@ -22,9 +24,13 @@ U_BYTE = 14  # first byte of u in the envelope (after magic, version, mode and n
 HEADER_FIELDS = ("n", "u", "ell", "epsilon", "epsilon_eff", "w_delta")  # the envelope's six u64
 
 
-def container(setting, mode, n=3000, epsilon=4):
+def sequence(setting, n=3000):
     rng = random.Random(5)
-    points = PointSeq(sorted(rng.sample(range(1, 20 * n), n)), setting=setting)
+    return PointSeq(sorted(rng.sample(range(1, 20 * n), n)), setting=setting)
+
+
+def container(setting, mode, n=3000, epsilon=4):
+    points = sequence(setting, n)
     encode, _ = CODECS[setting]
     return encode(build_optimal_pla(points, epsilon), points, mode).to_bytes()
 
@@ -69,18 +75,60 @@ def test_flipped_bits_load_or_raise_format_error(setting, mode):
     # a directory or bitvector that holds fewer ones than the header
     # promises is refused at load, not left to a scan that runs off the
     # end; a flipped P sample or coordinate that forges a B field offset
-    # past the end of B is refused at decode
+    # past the end of B is refused at decode; a flipped rank block count
+    # that ranks a key outside the segments is refused at predict.  Only
+    # keys the loaded container covers are queried, so any other error
+    # is a fault.
     cls = CODECS[setting][1]
     data = container(setting, mode)
+    keys = sequence(setting).plane_points()[0][::29]
     rng = random.Random(f"x-{setting}-{mode}")
     for _ in range(MUTATIONS):
         bad = bytearray(data)
         bit = rng.randrange(8 * len(bad))
         bad[bit >> 3] ^= 1 << (bit & 7)
         try:
-            cls.from_bytes(bytes(bad)).decode_all_segments()
+            store = cls.from_bytes(bytes(bad))
+            store.decode_all_segments()
+            first, last = store.x_axis.first(1), store.x_axis.end
+            for x in keys:
+                if first <= x <= last:
+                    store.predict(x)
         except FormatError:
             pass
+
+
+def test_flipped_elias_fano_select_sample_refused():
+    # every stored select sample of Y's high bits (ell > 1024, so two are
+    # stored, at the end of Y's payload) is checked against the high bits
+    data = container(COMPRESSION, MODE_EF, epsilon=1)
+    store = CompressedPlaC.from_bytes(data)
+    assert store.ell > 2 * SELECT_SAMPLE_RATE
+    (x_len,) = struct.unpack_from("<I", data, ENVELOPE_BYTES)
+    (y_len,) = struct.unpack_from("<I", data, ENVELOPE_BYTES + 4 + x_len)
+    y_end = ENVELOPE_BYTES + 8 + x_len + y_len
+    stored = 4 * (len(store.y_ef.high_rs.samples) - 1)
+    assert stored == 8 and data[y_end - stored:y_end] == struct.pack("<2I", *store.y_ef.high_rs.samples[1:])
+    for bit in range(8 * (y_end - stored), 8 * y_end):
+        bad = bytearray(data)
+        bad[bit >> 3] ^= 1 << (bit & 7)
+        with pytest.raises(FormatError, match="select samples"):
+            CompressedPlaC.from_bytes(bytes(bad))
+
+
+def test_rs_rank_outside_the_segments_is_format_error():
+    # a forged middle rank block count of indexing X ranks the key that
+    # opens its block past the last segment, or before the first although
+    # a one-bit precedes it
+    data = container(INDEXING, MODE_RS, n=300)
+    x = CompressedPlaI.from_bytes(data).x
+    b = len(x.block_counts) - 2
+    assert x.block_counts[b] >= 1
+    at = ENVELOPE_BYTES + 8 + 8 * len(x.owner.words) + 4 * b  # after X's two length prefixes and its words
+    for forged in (1 << 20, 0):
+        store = CompressedPlaI.from_bytes(data[:at] + struct.pack("<I", forged) + data[at + 4:])
+        with pytest.raises(FormatError, match="block counts are corrupt"):
+            store.predict(b * RANK_BLOCK_BITS)
 
 
 def forge(data, name, value):
@@ -92,8 +140,8 @@ def forge(data, name, value):
 @pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
 @pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
 def test_inconsistent_header_refused(setting, mode):
-    # each forged field breaks one of 1 <= ell <= n <= u, epsilon >= 1,
-    # w_delta = bit_length(2 * epsilon_eff)
+    # each forgery breaks one of 1 <= ell <= n <= u, epsilon >= 1,
+    # w_delta = bit_length(2 * epsilon_eff), epsilon_eff <= epsilon + 3
     cls = CODECS[setting][1]
     data = container(setting, mode, n=300)
     header = dict(zip(HEADER_FIELDS, struct.unpack_from(ENVELOPE_FMT, data)[3:]))
@@ -104,6 +152,9 @@ def test_inconsistent_header_refused(setting, mode):
     for name, value in forged:
         with pytest.raises(FormatError, match="inconsistent header"):
             cls.from_bytes(forge(data, name, value))
+    epsilon_eff = header["epsilon"] + 4  # with the w_delta it needs
+    with pytest.raises(FormatError, match="inconsistent header"):
+        cls.from_bytes(forge(forge(data, "epsilon_eff", epsilon_eff), "w_delta", (2 * epsilon_eff).bit_length()))
 
 
 def mutate(data, edits):

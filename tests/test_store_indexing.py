@@ -18,6 +18,7 @@ from plastore import (
     predict_reference,
 )
 from plastore.store_indexing import CompressedPlaI
+from plastore.succinct import BitVector
 
 
 def build_store(values, eps, mode=MODE_EF):
@@ -87,6 +88,25 @@ class TestEncodeDecode:
         for p, pts in ((other_pla, points), (pla, other_points)):
             with pytest.raises(ValueError, match="indexing-setting"):
                 CompressedPlaI.from_pla(p, pts, mode)
+
+    @pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
+    def test_from_pla_refuses_epsilon_eff_above_epsilon_plus_3(self, mode):
+        pla, points, _ = build_store(list(range(1, 41, 2)) + [60, 61, 62], 2)
+        loose = Pla(pla.segments, pla.epsilon, pla.epsilon + 4, INDEXING)
+        with pytest.raises(ValueError, match="epsilon_eff"):
+            encode_i(loose, points, mode)
+
+    def test_rs_bitvector_of_2_32_bits_refused_before_allocation(self, monkeypatch):
+        # the format stores the rs length and select samples as u32
+        points = PointSeq([1, 2**32 + 5], setting=INDEXING)
+        pla = build_optimal_pla(points, 1)
+
+        def allocate(cls, length, one_positions):
+            pytest.fail(f"allocated an rs bitvector of {length} bits")
+
+        monkeypatch.setattr(BitVector, "from_ones", classmethod(allocate))
+        with pytest.raises(ValueError, match="2\\^32"):
+            encode_i(pla, points, MODE_RS)
 
     def test_random_roundtrip(self):
         rng = random.Random(21)

@@ -172,9 +172,9 @@ class TestEliasFano:
         for n, u in ((10, 100), (100, 100), (500, 10**6), (1000, 1024)):
             values = sorted(rng.randrange(u) for _ in range(n))
             ef = EliasFano.encode(values, u)
-            rep = ef.size_report()
-            assert rep["core_bits"] <= rep["bound_bits"], (n, u, rep)
-            assert rep["aux_bits"] >= 0
+            w = next(w for w in range(64) if n << w >= u)  # ceil(log2(u/n))
+            assert ef.payload_bits() <= 2 * n + n * w, (n, u, ef.payload_bits())
+            assert ef.aux_bits() >= 0
 
     @pytest.mark.parametrize("ratio, low_width", ((1, 0), (2, 1), (37, 5), (1 << 20, 20)))
     def test_select_run_matches_select_across_chunks(self, ratio, low_width):
