@@ -167,8 +167,9 @@ class ProbeCounter:
     `primitives` counts accesses to the underlying succinct structures
     (one select, rank, packed read, or bit-field read each; a run of c
     consecutive values, read by one select and a forward scan, counts c);
-    `search_steps` counts probes made by the predecessor binary search
-    alone.
+    `search_steps` counts the steps of the ef-mode predecessor search
+    alone: one for its rank-directory step and one per exact value it
+    reads (`EliasFano.count_at_most`).
     """
 
     __slots__ = ("primitives", "search_steps")
@@ -444,22 +445,14 @@ class PlaContainer:
                 return i
             if i or self.x.select1(1) < pos:  # a rank past the last one-bit, or none before a one-bit
                 raise FormatError(f"X ranks key {x} at {i - skip} of {self.ell - skip}: its block counts are corrupt")
-        elif skip or x >= ax.first(1, probes):
-            # binary search over the stored ordinals k = i - skip:
-            # c_i <= x iff s_k + shift*k <= x - base - shift*(skip - 1)
+        else:
+            # c_i <= x iff s_k + shift*k <= x - base - shift*(skip - 1), for
+            # the stored ordinal k = i - skip; with no such k, only the
+            # position axis's implicit c_1 = 1 can cover x
             shift = ax.shift
-            target = x - ax.base - shift * (skip - 1)
-            lo, hi = 1 - skip, self.ell - skip
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if probes is not None:
-                    probes.primitives += 1
-                    probes.search_steps += 1
-                if self.x.select(mid) + shift * mid <= target:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return lo + skip
+            k = self.x.count_at_most(x - ax.base - shift * (skip - 1), shift, probes)
+            if k or skip:
+                return k + skip
         raise IndexError(self.range_error(x))
 
     def decode_segment(self, i, probes=None):

@@ -25,7 +25,10 @@ in memory; its owner chooses which are stored.  The rs X bitvector
 stores both, and load trusts them, since rescanning a universe-sized
 vector costs more than the rest of the load.  Elias-Fano high bits store
 only the select samples after the first, and load rebuilds the whole
-directory from the high bits and checks it against them.
+directory from the high bits and checks it against them.  The
+Elias-Fano predecessor search (``EliasFano.count_at_most``) bisects
+those rebuilt rank block counts, so it reads no table that load did not
+check.
 """
 
 from __future__ import annotations
@@ -369,11 +372,16 @@ class EliasFano(Stored):
     Each value v < universe splits into `low_width` low bits, stored
     packed, and a high part encoded in unary in the bitvector of
     `high_rs`: the k-th value (0-indexed) sets bit (v >> low_width) + k.
-    select is one select1 on the high bits plus one packed read.  Of
-    `high_rs`'s directory only the select samples after the first are
-    stored; load rebuilds the directory from the high bits and refuses a
-    payload whose count of ones is not n_values or whose stored samples
-    differ from the rebuilt ones.
+    select is one select1 on the high bits plus one packed read.
+    count_at_most, the predecessor search, bounds every value from below
+    by its high part, read from the rank directory and at most one rank
+    block of high bits, and reads exact values only where that bound
+    cannot decide (Vigna, "Quasi-succinct indices", WSDM 2013, with the
+    rank-block counts of Gonzalez, Grabowski, Makinen & Navarro, WEA
+    2005).  Of `high_rs`'s directory only the select samples after the
+    first are stored; load rebuilds the directory from the high bits and
+    refuses a payload whose count of ones is not n_values or whose stored
+    samples differ from the rebuilt ones.
     """
 
     __slots__ = ("n_values", "universe", "low_width", "lows", "high_rs")
@@ -446,18 +454,87 @@ class EliasFano(Stored):
                 j += 1
         return out
 
-    def pred(self, x: int):
-        """Largest (k, value) with value <= x, or None; binary search."""
-        lo, hi = 1, self.n_values
-        if hi == 0 or self.select(1) > x:
-            return None
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.select(mid) <= x:
-                lo = mid
+    def count_at_most(self, t: int, shift: int = 0, probes=None) -> int:
+        """How many ordinals k (1-indexed) have s_k + shift*k <= t; for
+        shift >= 0 they form a prefix.  The rank directory of the high
+        bits bounds each ordinal from below without reading a low, and
+        limits the exact reads to the few ordinals that bound cannot
+        decide.  `probes` counts the directory step as one primitive and
+        one search step, like a rank, and one of each per exact read."""
+        if not self.n_values:
+            return 0
+        lw = self.low_width
+        counts = self.high_rs.block_counts
+        if probes is not None:
+            probes.primitives += 1
+            probes.search_steps += 1
+        # The k-th one-bit sits at p_k = (s_k >> lw) + k - 1, so s_k >=
+        # (p_k - k + 1) << lw.  The first ordinal at or after rank block b,
+        # counts[b] + 1, has p >= 512b: past the last block whose bound is
+        # <= t, every ordinal is > t.
+        b = bisect_right(range(len(counts)), t,
+                         key=lambda b: ((RANK_BLOCK_BITS * b - counts[b]) << lw) + shift * (counts[b] + 1)) - 1
+        if b < 0:
+            return 0
+        # k: the last ordinal whose high-bit bound is <= t, found within
+        # at most the 8 words of block b; every later ordinal is > t
+        words = self.high_rs.owner.words
+        k = counts[b]
+        for wi in range(b * _BLOCK_WORDS, min((b + 1) * _BLOCK_WORDS, len(words))):
+            w = words[wi]
+            if not w:
+                continue
+            c = w.bit_count()
+            base = (wi << 6) - k  # a one-bit's high part: base + the zeros below it in the word
+            if ((base + w.bit_length() - c) << lw) + shift * (k + c) <= t:
+                k += c
+                continue
+            # the j-th one-bit passes iff its zeros below are at most
+            # ((t - shift*(k + j)) >> lw) - base, a limit that falls with j
+            z = ((t - shift * (k + 1)) >> lw) - base
+            if z == ((t - shift * (k + c)) >> lw) - base:
+                # one limit for the whole word: the ones below its (z+1)-th zero
+                k += (w & ((1 << _select_in_word(~w & _WORD_MASK, z + 1)) - 1)).bit_count() if z >= 0 else 0
+                break
+            lo, hi = 0, c - 1
+            while lo < hi:
+                j = (lo + hi + 1) // 2
+                if ((base + _select_in_word(w, j) - j + 1) << lw) + shift * (k + j) <= t:
+                    lo = j
+                else:
+                    hi = j - 1
+            k += lo
+            break
+
+        # the exact values: gallop back from k to an ordinal <= t, then
+        # bisect the last gap
+        select = self.select
+        reads = 0
+        hi = k
+        step = 1
+        while k:
+            reads += 1
+            if select(k) + shift * k <= t:
+                break
+            hi = k - 1
+            k = max(0, k - step)
+            step *= 2
+        while k < hi:
+            mid = (k + hi + 1) // 2
+            reads += 1
+            if select(mid) + shift * mid <= t:
+                k = mid
             else:
                 hi = mid - 1
-        return lo, self.select(lo)
+        if probes is not None:
+            probes.primitives += reads
+            probes.search_steps += reads
+        return k
+
+    def pred(self, x: int):
+        """Largest (k, value) with value <= x, or None."""
+        k = self.count_at_most(x)
+        return (k, self.select(k)) if k else None
 
     def values(self):
         return self.select_run(1, self.n_values)

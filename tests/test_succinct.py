@@ -1,4 +1,6 @@
+import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,10 @@ from plastore.succinct import (
     PackedIntArray,
     RankSelectIndex,
 )
+
+# shift 0 (pred), 1 (compression's position axis), 2*epsilon - 1 for
+# epsilon 1 to 2^40 (indexing), and one far above any universe
+SHIFTS = st.sampled_from((0, 1, 1 << 70)) | st.integers(1, 1 << 40).map(lambda e: 2 * e - 1)
 
 
 def rs(bits: str) -> RankSelectIndex:
@@ -201,3 +207,76 @@ class TestEliasFano:
         ef3, off = EliasFano.from_bytes_raw(raw, 0, len(values), 501)
         assert off == len(raw)
         assert ef3.values() == values
+
+
+class CountingWords(list):
+    """A word list that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+class CountingEliasFano(EliasFano):
+    """An EliasFano that counts its exact reads and answers them from a
+    plain list, so that only the predecessor's own reads of the high-bit
+    words are counted there."""
+
+    __slots__ = ("plain", "reads")
+
+    @classmethod
+    def of(cls, values, universe):
+        ef = EliasFano.encode(values, universe)
+        high = ef.high_rs
+        words = CountingWords(high.owner.words)
+        bits = RankSelectIndex(BitVector(words, high.owner.nbits), (high.block_counts, high.samples, high.total_ones))
+        counted = cls(ef.n_values, ef.universe, ef.low_width, ef.lows, bits)
+        counted.plain = values
+        counted.reads = 0
+        return counted, words
+
+    def select(self, k):
+        self.reads += 1
+        return self.plain[k - 1]
+
+
+class TestCountAtMost:
+    @given(universe=st.sampled_from((1, 2, 5, 1000, 1 << 20, 1 << 64)) | st.integers(1, 1 << 64),
+           n=st.integers(1, 2000) | st.just(1), distinct=st.integers(1, 2000) | st.integers(1, 3),
+           seed=st.integers(0, 1 << 32), shift=SHIFTS)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_brute_force(self, universe, n, distinct, seed, shift):
+        # few distinct values make long runs of equal values
+        rng = random.Random(seed)
+        pool = [rng.randrange(universe) for _ in range(min(n, distinct))]
+        values = sorted(rng.choice(pool) for _ in range(n))
+        ef = EliasFano.encode(values, universe)
+        sums = [v + shift * k for k, v in enumerate(values, start=1)]
+        targets = {-1, 0, sums[0] - 1, sums[0], sums[-1], sums[-1] + 1, (1 << 64) + shift * (n + 1)}
+        for k in rng.sample(range(n), min(n, 8)):
+            targets.update((sums[k] - 1, sums[k]))
+        targets.update(rng.randrange(-5, sums[-1] + 6) for _ in range(8))
+        for t in targets:
+            assert ef.count_at_most(t, shift) == bisect_right(sums, t), t
+            if not shift:
+                j = bisect_right(values, t)
+                assert ef.pred(t) == ((j, values[j - 1]) if j else None), t
+
+    def test_work_bound_on_equal_values(self):
+        # 4096 equal values whose lows are all ones: every high-bit bound
+        # sits 2^lw - 1 below its value, so up to 4096 ordinals pass the
+        # bound and fail the exact check; the search gallops and bisects
+        # them instead of walking back one by one
+        n, universe = 4096, 1 << 40
+        v = universe - 1
+        ef, words = CountingEliasFano.of([v] * n, universe)
+        assert ef.low_width == 28
+        cases = [(v + m, 1, m) for m in (0, 1, 2, 3, 100, 2047, 2048, 2049, 4000, 4095, 4096)]
+        cases += [(v - 1, 0, 0), (v, 0, n)]
+        for t, shift, want in cases:
+            ef.reads = words.reads = 0
+            assert ef.count_at_most(t, shift) == want, (t, shift)
+            assert ef.reads <= 2 * math.log2(n) + 4, (t, shift, ef.reads)
+            assert words.reads <= 8, (t, shift, words.reads)
