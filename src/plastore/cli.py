@@ -15,11 +15,14 @@ import sys
 
 from . import bounds as bnd
 from .container import MODE_EF, MODE_RS
-from .errors import BudgetError, CoverageError, FormatError
+from .errors import BudgetError, FormatError
 from .oracle import DEFAULT_BUDGET, EnumSpec, enumerate_pla_c, enumerate_pla_i
 from .pla import COMPRESSION, INDEXING, Pla, PointSeq, build_optimal_pla, interpolate, verify_error
-from .store_compression import CompressedPlaC, encode_c
-from .store_indexing import CompressedPlaI, encode_i
+from .store_compression import CompressedPlaC
+from .store_indexing import CompressedPlaI
+
+# each container class by its setting (for build) and by its magic (for load)
+CONTAINERS = {key: cls for cls in (CompressedPlaC, CompressedPlaI) for key in (cls.SETTING, cls.MAGIC)}
 
 
 def read_sequence(path: str, fmt: str) -> list:
@@ -57,19 +60,16 @@ def load_points(path: str, fmt: str, setting: str) -> PointSeq:
 def load_container(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
-    for cls in (CompressedPlaC, CompressedPlaI):
-        if data[:4] == cls.MAGIC:
-            return cls.from_bytes(data), cls.SETTING
-    raise FormatError(f"{path}: unrecognized container magic {data[:4]!r}")
+    cls = CONTAINERS.get(data[:4])
+    if cls is None:
+        raise FormatError(f"{path}: unrecognized container magic {data[:4]!r}")
+    return cls.from_bytes(data)
 
 
 def cmd_build(args) -> int:
     points = load_points(args.input, args.format, args.setting)
     pla = build_optimal_pla(points, args.epsilon)
-    if args.setting == COMPRESSION:
-        store = encode_c(pla, points, args.mode)
-    else:
-        store = encode_i(pla, points, args.mode)
+    store = CONTAINERS[args.setting].from_pla(pla, points, args.mode)
     data = store.to_bytes()
     with open(args.output, "wb") as fh:
         fh.write(data)
@@ -80,7 +80,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    store, _ = load_container(args.container)
+    store = load_container(args.container)
     if args.batch:
         for line in sys.stdin:
             line = line.strip()
@@ -102,7 +102,7 @@ def _predict(store, x):
     return interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, x), i
 
 
-def _store_params(store, setting):
+def _store_params(store):
     segments = store.decode_all_segments()
     params = {
         "ell": store.ell,
@@ -111,21 +111,21 @@ def _store_params(store, setting):
         "epsilon": store.epsilon,
         "epsilon_eff": store.epsilon_eff,
     }
-    if setting == COMPRESSION:
+    if store.SETTING == COMPRESSION:
         params["y"] = [s.first_y for s in segments]
     else:
         params["x"] = [s.first_x for s in segments]
-    return params, segments
+    return params
 
 
 def cmd_stats(args) -> int:
-    store, setting = load_container(args.container)
+    store = load_container(args.container)
     if args.input:
-        points = load_points(args.input, args.format, setting)
+        points = load_points(args.input, args.format, store.SETTING)
         if points.n != store.n or points.values[-1] != store.u:
             raise ValueError("input sequence does not match the container header")
-    params, _ = _store_params(store, setting)
-    report = bnd.redundancy_report(store.size_bits(), params, setting)
+    params = _store_params(store)
+    report = bnd.redundancy_report(store.size_bits(), params, store.SETTING)
     if args.report == "json":
         print(json.dumps(report.as_dict(), sort_keys=True))
     else:
@@ -134,7 +134,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    store, setting = load_container(args.container)
+    store = load_container(args.container)
+    setting = store.SETTING
     points = load_points(args.input, args.format, setting)
     if points.n != store.n:
         raise ValueError(f"container holds n={store.n} but input has n={points.n}")
@@ -270,7 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError, OSError, BudgetError, CoverageError, FormatError) as exc:
+    except (ValueError, IndexError, OSError, BudgetError) as exc:  # FormatError, CoverageError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

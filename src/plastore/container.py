@@ -110,12 +110,12 @@ class FieldOffsets(Stored):
     @classmethod
     def from_bytes_raw(cls, data, ell, coords, bias):
         """Rebuild |B| from one run over all ell coordinates, then read
-        the samples."""
+        the samples; returns the offsets and the end of the samples."""
         cs = coords(1, ell)
         total = sum((b - a - bias).bit_length() for a, b in zip(cs, cs[1:]))
         count = max(0, ell - 2) // OFFSET_SAMPLE_RATE
-        samples, _ = PackedIntArray.from_bytes_raw(data, 0, count, total.bit_length())
-        return cls(ell, total, samples, coords, bias)
+        samples, off = PackedIntArray.from_bytes_raw(data, 0, count, total.bit_length())
+        return cls(ell, total, samples, coords, bias), off
 
     def field(self, i, probes=None):
         """(c_i, start offset, width) of field i, 1 <= i < ell.
@@ -169,7 +169,8 @@ class ProbeCounter:
     consecutive values, read by one select and a forward scan, counts c);
     `search_steps` counts the steps of the ef-mode predecessor search
     alone: one for its rank-directory step and one per exact value it
-    reads (`EliasFano.count_at_most`).
+    reads (`EliasFano.count_at_most`).  The rs-mode search is one rank,
+    one primitive and no search step (`RankSelectIndex.count_at_most`).
     """
 
     __slots__ = ("primitives", "search_steps")
@@ -317,8 +318,14 @@ class PlaContainer:
     """Immutable PLA container; see module docstring.  A subclass per
     setting supplies the axis rule: MAGIC, SETTING, VALUE_AXIS ("x" or
     "y"), shifts(epsilon) -> (position shift, value shift), B_BIAS (b),
-    RS_LENGTH_STORED, GAMMA_LAST (whether size_bits reports gamma_l as its
-    own component), check_segments and range_error."""
+    GAMMA_LAST (whether size_bits reports gamma_l as its own component),
+    check_segments and range_error.  An rs X bitvector on the value axis
+    reaches at least the last first key, which the header does not fix,
+    so its length is stored.
+
+    Both modes find a segment with one predecessor count over X,
+    `x.count_at_most`, and differ only in the structure that answers it:
+    EliasFano or RankSelectIndex."""
 
     __slots__ = ("mode", "n", "u", "ell", "epsilon", "epsilon_eff", "w_delta",
                  "x", "y_ef", "b_bits", "p_ef", "d_beta", "d_gamma",
@@ -390,7 +397,7 @@ class PlaContainer:
         if mode == MODE_EF:
             x = xr.encode(firsts_x)
         else:
-            x_len = max(xr.end - xr.shift, firsts_x[-1]) if cls.RS_LENGTH_STORED else max(0, xr.end - xr.skip)
+            x_len = max(xr.end - xr.shift, firsts_x[-1]) if cls.VALUE_AXIS == "x" else max(0, xr.end - xr.skip)
             if x_len >> 32:  # its length and select samples are stored as u32
                 raise ValueError(f"rs bitvector of {x_len} bits exceeds the format's 2^32 - 1; use ef mode")
             x = RankSelectIndex(BitVector.from_ones(x_len, [c - 1 - xr.skip for c in firsts_x[xr.skip:]]))
@@ -435,24 +442,13 @@ class PlaContainer:
         ax = self.x_axis
         if x < 1 or x > ax.end:
             raise IndexError(self.range_error(x))
-        skip = ax.skip
-        if self.mode == MODE_RS:
-            if probes is not None:
-                probes.primitives += 1
-            pos = min(x - skip, self.x.owner.nbits)
-            i = skip + self.x.rank1(pos)
-            if 0 < i <= self.ell:
-                return i
-            if i or self.x.select1(1) < pos:  # a rank past the last one-bit, or none before a one-bit
-                raise FormatError(f"X ranks key {x} at {i - skip} of {self.ell - skip}: its block counts are corrupt")
-        else:
-            # c_i <= x iff s_k + shift*k <= x - base - shift*(skip - 1), for
-            # the stored ordinal k = i - skip; with no such k, only the
-            # position axis's implicit c_1 = 1 can cover x
-            shift = ax.shift
-            k = self.x.count_at_most(x - ax.base - shift * (skip - 1), shift, probes)
-            if k or skip:
-                return k + skip
+        # c_i <= x iff s_k + shift*k <= x - base - shift*(skip - 1), for the
+        # stored ordinal k = i - skip; with no such k, only the position
+        # axis's implicit c_1 = 1 can cover x
+        skip, shift = ax.skip, ax.shift
+        k = self.x.count_at_most(x - ax.base - shift * (skip - 1), shift, probes)
+        if k or skip:
+            return k + skip
         raise IndexError(self.range_error(x))
 
     def decode_segment(self, i, probes=None):
@@ -515,7 +511,7 @@ class PlaContainer:
 
     def _stores_x_length(self):
         """Whether X is prefixed by its bitvector length as a u32."""
-        return self.mode == MODE_RS and self.RS_LENGTH_STORED
+        return self.mode == MODE_RS and self.VALUE_AXIS == "x"
 
     def to_bytes(self) -> bytes:
         parts = [part.to_bytes_raw() for part in self.components().values()]
@@ -525,20 +521,24 @@ class PlaContainer:
 
     @classmethod
     def from_parts(cls, mode, header, parts):
-        """The container from its envelope and its component payloads."""
+        """The container from its envelope and its component payloads;
+        FormatError if a payload is longer than what it holds."""
         n, u, ell, epsilon, epsilon_eff, w_delta = header
         xr, yr = cls.axis_rules(n, u, epsilon)
         if mode == MODE_EF:
-            x, _ = EliasFano.from_bytes_raw(parts[0], 0, ell - xr.skip, xr.universe(ell))
-        elif cls.RS_LENGTH_STORED:
+            x, x_end = EliasFano.from_bytes_raw(parts[0], 0, ell - xr.skip, xr.universe(ell))
+        elif cls.VALUE_AXIS == "x":
             (x_len,), off = read_words(parts[0], 0, 1, "I")
-            x, _ = RankSelectIndex.from_bytes_raw(parts[0], off, x_len, ell - xr.skip)
+            x, x_end = RankSelectIndex.from_bytes_raw(parts[0], off, x_len, ell - xr.skip)
         else:
-            x, _ = RankSelectIndex.from_bytes_raw(parts[0], 0, max(0, xr.end - xr.skip), ell - xr.skip)
-        y_ef, _ = EliasFano.from_bytes_raw(parts[1], 0, ell - yr.skip, yr.universe(ell))
+            x, x_end = RankSelectIndex.from_bytes_raw(parts[0], 0, max(0, xr.end - xr.skip), ell - xr.skip)
+        y_ef, y_end = EliasFano.from_bytes_raw(parts[1], 0, ell - yr.skip, yr.universe(ell))
         store = cls(mode, header, x, y_ef)
-        store.p_ef = FieldOffsets.from_bytes_raw(parts[3], ell, *store.field_coords())
-        store.b_bits, _ = BitVector.from_bytes_raw(parts[2], 0, store.p_ef.total)
-        store.d_beta, _ = PackedIntArray.from_bytes_raw(parts[4], 0, ell, w_delta)
-        store.d_gamma, _ = PackedIntArray.from_bytes_raw(parts[5], 0, ell, w_delta)
+        store.p_ef, p_end = FieldOffsets.from_bytes_raw(parts[3], ell, *store.field_coords())
+        store.b_bits, b_end = BitVector.from_bytes_raw(parts[2], 0, store.p_ef.total)
+        store.d_beta, db_end = PackedIntArray.from_bytes_raw(parts[4], 0, ell, w_delta)
+        store.d_gamma, dg_end = PackedIntArray.from_bytes_raw(parts[5], 0, ell, w_delta)
+        for name, part, end in zip(store.components(), parts, (x_end, y_end, b_end, p_end, db_end, dg_end)):
+            if end != len(part):
+                raise FormatError(f"component {name} holds {end} bytes but its payload has {len(part)}")
         return store

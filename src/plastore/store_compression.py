@@ -27,7 +27,6 @@ class CompressedPlaC(PlaContainer):
     SETTING = COMPRESSION
     VALUE_AXIS = "y"
     B_BIAS = 0
-    RS_LENGTH_STORED = False
     GAMMA_LAST = False
 
     @staticmethod

@@ -31,7 +31,6 @@ class CompressedPlaI(PlaContainer):
     SETTING = INDEXING
     VALUE_AXIS = "x"
     B_BIAS = 1
-    RS_LENGTH_STORED = True
     GAMMA_LAST = True
 
     @staticmethod

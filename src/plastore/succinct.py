@@ -22,8 +22,10 @@ is too short.
 One directory type, ``RankSelectIndex``, serves every bitvector that is
 ranked or selected.  Its rank block counts and select samples are always
 in memory; its owner chooses which are stored.  The rs X bitvector
-stores both, and load trusts them, since rescanning a universe-sized
-vector costs more than the rest of the load.  Elias-Fano high bits store
+stores both, and load does not rebuild them, since rescanning a
+universe-sized vector costs more than the rest of the load: it ranks
+each stored select sample once against the stored block counts, and
+trusts those counts.  Elias-Fano high bits store
 only the select samples after the first, and load rebuilds the whole
 directory from the high bits and checks it against them.  The
 Elias-Fano predecessor search (``EliasFano.count_at_most``) bisects
@@ -118,11 +120,6 @@ class BitVector(Stored):
     def __init__(self, words, nbits: int):
         self.words = words
         self.nbits = nbits
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitVector":
-        bits = [int(b) & 1 for b in bits]
-        return cls.from_ones(len(bits), [i for i, b in enumerate(bits) if b])
 
     @classmethod
     def from_ones(cls, length: int, one_positions) -> "BitVector":
@@ -220,9 +217,12 @@ class RankSelectIndex(Stored):
     one-bits before each RANK_BLOCK_BITS-bit block, and the position of
     every SELECT_SAMPLE_RATE-th one-bit.
 
-    rank1 touches one block count plus at most eight word popcounts;
+    rank1 touches one block count plus at most eight word popcounts, and
+    count_at_most, the predecessor count the rs container searches X
+    with, is one rank1 that refuses a rank the block counts cannot give.
     select1 starts from the nearest sample and scans forward by whole
-    words; select_run scans on from there, skipping every rank block
+    words, however many (tens of thousands on a sparse universe-sized
+    vector); select_run scans on from there, skipping every rank block
     without a one-bit.  Both tables are kept in memory; which of them is
     stored is the owner's choice (`_parts`).  The first sample is the
     first one-bit of the vector, so it is never stored.
@@ -254,6 +254,23 @@ class RankSelectIndex(Stored):
         if rem:
             c += (words[target] & ((1 << rem) - 1)).bit_count()
         return c
+
+    def count_at_most(self, t: int, shift: int = 0, probes=None) -> int:
+        """How many one-bits sit at positions <= t: one rank1, which
+        `probes` counts as one primitive and no search step.  Unlike
+        EliasFano.count_at_most, only shift 0 is supported (ValueError
+        otherwise).  FormatError if the block counts rank past the count of
+        ones, or rank none although a one-bit comes before the position."""
+        if shift:
+            raise ValueError(f"a rank counts positions, not shifted values: shift {shift} is not 0")
+        if probes is not None:
+            probes.primitives += 1
+        pos = min(max(t + 1, 0), self.owner.nbits)
+        k = self.rank1(pos)
+        if k > self.total_ones or (not k and self.samples and self.samples[0] < pos):
+            raise FormatError(f"rank directory counts {k} of {self.total_ones} one-bits at positions <= {t}: "
+                              "its block counts are corrupt")
+        return k
 
     def select1(self, k: int) -> int:
         """Position of the k-th 1-bit, 1-indexed."""
@@ -316,7 +333,9 @@ class RankSelectIndex(Stored):
     def from_bytes_raw(cls, data, off: int, nbits: int, ones: int):
         """The directory over an `nbits`-bit vector holding `ones` one-bits,
         with both tables as stored: the vector is not rescanned, only its
-        last block is counted.  FormatError if that count is not `ones`."""
+        last block is counted, and each stored sample is ranked once.
+        FormatError if that count is not `ones`, or if the j-th sample is
+        not a one-bit that the block counts rank j*SELECT_SAMPLE_RATE."""
         owner, off = BitVector.from_bytes_raw(data, off, nbits)
         nblocks = (nbits + RANK_BLOCK_BITS - 1) // RANK_BLOCK_BITS
         counts, off = read_words(data, off, nblocks, "I")
@@ -330,7 +349,12 @@ class RankSelectIndex(Stored):
                 raise FormatError(f"select directory for {ones} one-bits over an all-zero bitvector")
             samples, off = read_words(data, off, (ones - 1) // SELECT_SAMPLE_RATE, "I")
             samples.insert(0, first)
-        return cls(owner, (counts, samples, ones)), off
+        rs = cls(owner, (counts, samples, ones))
+        for j, pos in enumerate(samples[1:], 1):
+            if not (pos < nbits and owner.get(pos) and rs.rank1(pos) == j * SELECT_SAMPLE_RATE):
+                raise FormatError(f"select sample {j} at {pos} is not the one-bit the block counts rank "
+                                  f"{j * SELECT_SAMPLE_RATE}")
+        return rs, off
 
 
 class PackedIntArray(Stored):

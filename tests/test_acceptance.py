@@ -241,7 +241,7 @@ class TestCriterion6SuccinctPrimitives:
         for length in range(0, 2**12 + 1):
             p = densities[length % 3]
             bits = [rng.random() < p for _ in range(length)]
-            idx = RankSelectIndex(BitVector.from_bits(bits))
+            idx = RankSelectIndex(BitVector.from_ones(length, [i for i, b in enumerate(bits) if b]))
             ones = 0
             rank1 = idx.rank1
             select1 = idx.select1

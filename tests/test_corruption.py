@@ -1,9 +1,9 @@
 """Corrupted containers: seeded truncations and bit flips of one
-3000-key container per setting and mode, flipped Elias-Fano select
-samples and forged rank block counts, forged header fields, and fuzzed
-mutations of small containers.  Loading is refused with an
-error that the CLI reports as one `error:` line (FormatError is a
-ValueError), never with a struct.error traceback."""
+3000-key container per setting and mode, flipped Elias-Fano and rs select
+samples, forged rank block counts, padded component payloads, forged
+header fields, and fuzzed mutations of small containers.  Loading is
+refused with an error that the CLI reports as one `error:` line
+(FormatError is a ValueError), never with a struct.error traceback."""
 
 import random
 import struct
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, FormatError, PointSeq, build_optimal_pla
-from plastore.container import ENVELOPE_BYTES, ENVELOPE_FMT
+from plastore.container import ENVELOPE_BYTES, ENVELOPE_FMT, N_COMPONENTS, pack_components, unpack_components
 from plastore.store_compression import CompressedPlaC, encode_c
 from plastore.store_indexing import CompressedPlaI, encode_i
 from plastore.succinct import RANK_BLOCK_BITS, SELECT_SAMPLE_RATE
@@ -129,6 +129,36 @@ def test_rs_rank_outside_the_segments_is_format_error():
         store = CompressedPlaI.from_bytes(data[:at] + struct.pack("<I", forged) + data[at + 4:])
         with pytest.raises(FormatError, match="block counts are corrupt"):
             store.predict(b * RANK_BLOCK_BITS)
+
+
+@pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
+def test_flipped_rs_select_sample_refused(setting):
+    # every stored select sample of rs X (at the end of X's payload) must
+    # be a one-bit that the stored block counts rank 512*j
+    data = container(setting, MODE_RS, n=8000, epsilon=1)
+    x = CODECS[setting][1].from_bytes(data).x
+    (x_len,) = struct.unpack_from("<I", data, ENVELOPE_BYTES)
+    x_end = ENVELOPE_BYTES + 4 + x_len
+    stored = 4 * (len(x.samples) - 1)
+    assert stored and data[x_end - stored:x_end] == struct.pack(f"<{len(x.samples) - 1}I", *x.samples[1:])
+    for bit in range(8 * (x_end - stored), 8 * x_end):
+        bad = bytearray(data)
+        bad[bit >> 3] ^= 1 << (bit & 7)
+        with pytest.raises(FormatError, match="select sample"):
+            CODECS[setting][1].from_bytes(bytes(bad))
+
+
+@pytest.mark.parametrize("component", range(N_COMPONENTS))
+@pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
+@pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
+def test_padded_component_refused(setting, mode, component):
+    # eight zero bytes after a component's payload, its length raised to
+    # match: every other check passes, so only the end offset can tell
+    data = container(setting, mode, n=300)
+    parts = unpack_components(data, ENVELOPE_BYTES, N_COMPONENTS)
+    parts[component] += bytes(8)
+    with pytest.raises(FormatError, match="payload"):
+        CODECS[setting][1].from_bytes(data[:ENVELOPE_BYTES] + pack_components(parts))
 
 
 def forge(data, name, value):

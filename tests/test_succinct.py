@@ -5,6 +5,7 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plastore.container import ProbeCounter
 from plastore.succinct import (
     BitVector,
     EliasFano,
@@ -18,7 +19,7 @@ SHIFTS = st.sampled_from((0, 1, 1 << 70)) | st.integers(1, 1 << 40).map(lambda e
 
 
 def rs(bits: str) -> RankSelectIndex:
-    return RankSelectIndex(BitVector.from_bits(int(b) for b in bits))
+    return RankSelectIndex(BitVector.from_ones(len(bits), [i for i, b in enumerate(bits) if b == "1"]))
 
 
 class TestRankSelect:
@@ -48,7 +49,7 @@ class TestRankSelect:
     def test_random_large_vs_linear_scan(self):
         rng = random.Random(7)
         bits = [rng.random() < 0.37 for _ in range(10**4)]
-        idx = RankSelectIndex(BitVector.from_bits(bits))
+        idx = RankSelectIndex(BitVector.from_ones(len(bits), [i for i, b in enumerate(bits) if b]))
         prefix = 0
         ones_positions = []
         for pos, b in enumerate(bits):
@@ -63,7 +64,7 @@ class TestRankSelect:
     @given(st.lists(st.booleans(), max_size=300))
     @settings(max_examples=150, deadline=None)
     def test_rank_select_consistency(self, bits):
-        idx = RankSelectIndex(BitVector.from_bits(bits))
+        idx = RankSelectIndex(BitVector.from_ones(len(bits), [i for i, b in enumerate(bits) if b]))
         ones = sum(bits)
         assert idx.total_ones == ones
         for pos, b in enumerate(bits):
@@ -109,7 +110,7 @@ class TestBitOps:
 
     def test_bitvector_serialization_bit_exact(self):
         bits = [1, 0, 1, 1, 0, 1] * 33
-        bv = BitVector.from_bits(bits)
+        bv = BitVector.from_ones(len(bits), [i for i, b in enumerate(bits) if b])
         data = bv.to_bytes_raw()
         assert len(data) == 8 * ((len(bits) + 63) // 64)
         bv2, off = BitVector.from_bytes_raw(data, 0, len(bits))
@@ -280,3 +281,24 @@ class TestCountAtMost:
             assert ef.count_at_most(t, shift) == want, (t, shift)
             assert ef.reads <= 2 * math.log2(n) + 4, (t, shift, ef.reads)
             assert words.reads <= 8, (t, shift, words.reads)
+
+    @pytest.mark.parametrize("ones", (0, 1, 511, 512, 513, 1025))
+    @pytest.mark.parametrize("nbits_per_one", (1.25, 40))
+    def test_rank_select_index_matches_brute_force(self, ones, nbits_per_one):
+        # dense and sparse vectors around the select sample boundaries:
+        # 511 and 512 ones store no sample, 513 one, 1025 two
+        rng = random.Random(ones)
+        nbits = max(64, int(ones * nbits_per_one))
+        positions = sorted(rng.sample(range(nbits), ones))
+        idx = RankSelectIndex(BitVector.from_ones(nbits, positions))
+        for t in range(-1, nbits + 2):
+            assert idx.count_at_most(t) == bisect_right(positions, t), t
+
+    def test_rank_select_index_probes_and_shift(self):
+        idx = RankSelectIndex(BitVector.from_ones(1000, range(3, 1000, 7)))
+        pc = ProbeCounter()
+        assert idx.count_at_most(500, 0, pc) == 72
+        assert (pc.primitives, pc.search_steps) == (1, 0)
+        for shift in (1, -1, 31):
+            with pytest.raises(ValueError):
+                idx.count_at_most(500, shift)
