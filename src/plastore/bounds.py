@@ -157,27 +157,41 @@ def _log2_comb_or_zero(m: int, k: int) -> float:
     return log2_big(c) if c > 0 else 0.0
 
 
+def _directory_bits(m: int) -> float:
+    """m / log2(m)^2, the constant-time variants' directory term; 0 for m = 1,
+    whose logarithm is 0 (a one-value sequence needs no directory)."""
+    return m / math.log2(m) ** 2 if m > 1 else 0.0
+
+
 def baseline_la_bits(ell, epsilon, u, n, variant="binary-search") -> float:
-    """Space of the reference compression-setting storage scheme."""
+    """Space of the reference compression-setting storage scheme.
+
+    The constant-time variant's directory term n / log2(n)^2 is taken as 0
+    when n = 1.
+    """
     if min(ell, u, n) < 1 or epsilon < 1:
         raise ValueError("parameters must be positive")
     eps_term = 2 * math.log2(2 * epsilon + 1)
     if variant == "binary-search":
         return ell * (2 * math.log2(u / ell) + math.log2(n / ell) + 6 + eps_term)
     if variant == "constant-time":
-        return ell * (2 * math.log2(u / ell) + 4 + eps_term) + log2_binomial(n, ell) + n / math.log2(n) ** 2
+        return ell * (2 * math.log2(u / ell) + 4 + eps_term) + log2_binomial(n, ell) + _directory_bits(n)
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def baseline_pgm_bits(ell, epsilon, u, n, variant="binary-search") -> float:
-    """Space of the reference indexing-setting storage scheme."""
+    """Space of the reference indexing-setting storage scheme.
+
+    The constant-time variant's directory term u / log2(u)^2 is taken as 0
+    when u = 1.
+    """
     if min(ell, u, n) < 1 or epsilon < 1:
         raise ValueError("parameters must be positive")
     base = 1.92 + math.log2(n * n / ell)
     if variant == "binary-search":
         return ell * (base + 2 * math.log2(u))
     if variant == "constant-time":
-        return ell * (base + math.log2(u)) + log2_binomial(u, ell) + u / math.log2(u) ** 2
+        return ell * (base + math.log2(u)) + log2_binomial(u, ell) + _directory_bits(u)
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -17,7 +17,7 @@ from . import bounds as bnd
 from .container import MODE_EF, MODE_RS
 from .errors import BudgetError, FormatError
 from .oracle import DEFAULT_BUDGET, EnumSpec, enumerate_pla_c, enumerate_pla_i
-from .pla import COMPRESSION, INDEXING, Pla, PointSeq, build_optimal_pla, interpolate, verify_error
+from .pla import COMPRESSION, INDEXING, Pla, PointSeq, build_optimal_pla, interpolate, violations
 from .store_compression import CompressedPlaC
 from .store_indexing import CompressedPlaI
 
@@ -142,17 +142,10 @@ def cmd_verify(args) -> int:
     if points.values[-1] != store.u:
         raise ValueError(f"container universe {store.u} does not match final value {points.values[-1]}")
     segments = store.decode_all_segments()
-    if verify_error(Pla(segments, store.epsilon, store.epsilon_eff, setting), points) <= store.epsilon_eff:
+    bad = violations(Pla(segments, store.epsilon, store.epsilon_eff, setting), points, store.epsilon_eff)
+    if not bad:
         print(f"OK: all {store.n} points within epsilon_eff={store.epsilon_eff}")
         return 0
-    xs, ys = points.plane_points()
-    bad = []
-    for seg in segments:
-        span = range(seg.first_x - 1, seg.last_x) if setting == COMPRESSION else range(seg.first_y - 1, seg.last_y)
-        for j in span:
-            pred = interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, xs[j])
-            if abs(pred - ys[j]) > store.epsilon_eff:
-                bad.append((xs[j], pred, ys[j]))
     for x, pred, truth in bad[:20]:
         print(f"violation at x={x}: predicted {pred}, true {truth}, epsilon_eff {store.epsilon_eff}")
     print(f"FAIL: {len(bad)} of {store.n} points exceed epsilon_eff={store.epsilon_eff}")

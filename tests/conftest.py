@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from plastore import COMPRESSION, INDEXING, PointSeq, build_optimal_pla
+from plastore.pla import interpolate
 
 EPSILONS = (1, 2, 4, 8, 16, 32, 64)
 MAX_N = 10**5
@@ -104,3 +105,17 @@ def max_error_against_truth(setting, segments, points) -> int:
     dx = np.maximum(lasts - firsts, 1)
     pred = np.where(lasts == firsts, betas, (xs - firsts) * (gammas - betas) // dx + betas)
     return int(np.max(np.abs(pred - truth)))
+
+
+def exact_max_error(pla, points) -> int:
+    """Max |prediction - truth| over every point, one Python-integer
+    interpolate per point: the reference for any magnitude."""
+    xs, ys = points.plane_points()
+    worst = 0
+    j = 0
+    for seg in pla.segments:
+        while j < points.n and xs[j] <= seg.last_x:
+            pred = interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, xs[j])
+            worst = max(worst, abs(pred - ys[j]))
+            j += 1
+    return worst

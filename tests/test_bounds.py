@@ -163,6 +163,14 @@ class TestBaselines:
         )
         assert abs(v2 - expect2) < 1e-9
 
+    def test_constant_time_directory_term_is_zero_at_one(self):
+        # log2(1) = 0: a one-value sequence (n = 1) or universe (u = 1) has no directory term
+        eps = 1
+        v1 = baseline_la_bits(1, eps, 5, 1, "constant-time")
+        assert abs(v1 - (2 * math.log2(5) + 4 + 2 * math.log2(3) + log2_binomial(1, 1))) < 1e-9
+        v2 = baseline_pgm_bits(1, eps, 1, 1, "constant-time")
+        assert abs(v2 - (1.92 + math.log2(1) + log2_binomial(1, 1))) < 1e-9
+
     def test_baselines_dominate_lower_bounds(self):
         rng = random.Random(77)
         for _ in range(100):

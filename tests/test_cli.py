@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -214,3 +215,19 @@ class TestInProcessMain:
         code = main(["predict", str(tmp_path / "missing.pla"), "--x", "1"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["ef", "rs"])
+    @pytest.mark.parametrize("setting, value", [("compression", 5), ("indexing", 1)])
+    def test_stats_on_one_value(self, tmp_path, capsys, setting, value, mode):
+        # n = 1 (compression) and u = 1 (indexing): log2 of either is 0
+        inp = tmp_path / "one.txt"
+        inp.write_text(f"{value}\n")
+        out = tmp_path / "one.pla"
+        assert main(["build", "--setting", setting, "--mode", mode, "--epsilon", "1",
+                     "--input", str(inp), "--output", str(out)]) == 0
+        assert main(["stats", str(out)]) == 0
+        assert "redundancy_bits=" in capsys.readouterr().out
+        assert main(["stats", str(out), "--report", "json", "--input", str(inp)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["n"] == 1 and rep["u"] == value
+        assert all(math.isfinite(bits) for bits in rep["baseline_bits"].values())

@@ -1,6 +1,8 @@
 """The whole pipeline against the plain references, on inputs a shrinking
 search draws: build -> to_bytes -> from_bytes in both settings and both
-modes, then every segment decoded and predict at every point.
+modes, then every segment decoded and predict at every point.  The
+built epsilon_eff must equal verify_error and the Python-integer reference,
+so that the int64 kernel and its exact path are checked on mixed inputs.
 
 Gaps come from three scales (1-5, 1-1000, 1-2^62, plus up to two single
 huge gaps), and half the sequences end near 2^64 - 1, so that ef reaches
@@ -28,6 +30,8 @@ from plastore import (
     verify_error,
 )
 
+from conftest import exact_max_error
+
 U64_MAX = (1 << 64) - 1
 CODECS = {COMPRESSION: (encode_c, CompressedPlaC), INDEXING: (encode_i, CompressedPlaI)}
 RS_MAX_UNIVERSE = 1 << 20
@@ -54,7 +58,7 @@ def test_pipeline_matches_references(values, epsilon):
     for setting, (encode, cls) in CODECS.items():
         points = PointSeq(values, setting=setting)
         pla = build_optimal_pla(points, epsilon)
-        assert verify_error(pla, points) <= pla.epsilon_eff
+        assert verify_error(pla, points) == pla.epsilon_eff == exact_max_error(pla, points)
         xs = points.plane_points()[0]
         for mode in (MODE_EF, MODE_RS):
             if mode == MODE_RS and setting == INDEXING and values[-1] > RS_MAX_UNIVERSE:

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from plastore import (
     INDEXING,
     CoverageError,
     PointSeq,
+    Pla,
     Segment,
     build_optimal_pla,
     encode_c,
@@ -17,9 +19,24 @@ from plastore import (
     verify_error,
 )
 from plastore.oracle import min_segments_dp
-from plastore.pla import interpolate, optimal_spans, round_to_integer_endpoints
+from plastore.pla import (
+    _CHUNK,
+    _checked_errors,
+    _exact_anchors,
+    _exact_points,
+    _int64,
+    _int64_slopes,
+    _kernel_anchors,
+    _kernel_errors,
+    _plane_arrays,
+    _plane_views,
+    optimal_spans,
+    round_to_integer_endpoints,
+)
 from plastore.store_compression import CompressedPlaC
 from plastore.store_indexing import CompressedPlaI
+
+from conftest import exact_max_error
 
 
 class TestPointSeq:
@@ -165,6 +182,29 @@ class TestVerifyError:
         with pytest.raises(CoverageError):
             verify_error(pla, points)
 
+    @pytest.mark.parametrize("setting", [COMPRESSION, INDEXING])
+    def test_coverage_error_messages(self, setting):
+        values = sorted(random.Random(8).sample(range(1, 3000), 300))
+        points = PointSeq(values, setting=setting)
+        pla = build_optimal_pla(points, 2)
+        segs = pla.segments
+        assert len(segs) >= 4
+        xs, ys = points.plane_points()
+        first = (segs[2].first_x if setting == COMPRESSION else segs[2].first_y) - 1
+        late = segs[2]._replace(first_x=xs[first + 1], first_y=ys[first + 1])
+        wrong_key = segs[0]._replace(first_x=segs[0].first_x + 1)
+        last = (segs[-1].first_x if setting == COMPRESSION else segs[-1].first_y)
+        cases = [
+            (segs[:2] + segs[3:], f"segment {segs[3]} does not cover the expected point range"),
+            (segs[:-1], f"points {last}..{points.n} are not covered by any segment"),
+            (segs[:2] + [late] + segs[3:], f"segment {late} does not cover the expected point range"),
+            ([wrong_key] + segs[1:], f"segment {wrong_key} does not cover the expected point range"),
+        ]
+        for segments, message in cases:
+            with pytest.raises(CoverageError) as exc:
+                verify_error(Pla(segments, pla.epsilon, pla.epsilon_eff, setting), points)
+            assert str(exc.value) == message
+
     def test_greedy_spans_are_maximal(self):
         rng = random.Random(21)
         values = sorted(rng.sample(range(1, 5000), 400))
@@ -181,18 +221,6 @@ BEYOND_INT64 = {
     "spaced-2^56": [1 + i * 2**56 for i in range(100)],
     "above-2^63": [2**63 + 1000 * i + (i * i) % 7 for i in range(100)],
 }
-
-
-def exact_max_error(pla, points):
-    xs, ys = points.plane_points()
-    worst = 0
-    j = 0
-    for seg in pla.segments:
-        while j < points.n and xs[j] <= seg.last_x:
-            pred = interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, xs[j])
-            worst = max(worst, abs(pred - ys[j]))
-            j += 1
-    return worst
 
 
 class TestBeyondInt64:
@@ -213,3 +241,51 @@ class TestBeyondInt64:
         seg = pla.segments[0]
         pla.segments[0] = Segment(seg.first_x, seg.last_x, seg.intercept, 2**70, seg.first_y, seg.last_y)
         assert verify_error(pla, points) == exact_max_error(pla, points) > 2**63
+
+
+def _mixed_guard_values():
+    """Dense values, then values about 2^56 apart: the dense segments pass
+    the kernels' guards and the wide ones fail them, while every value
+    still fits in int64."""
+    rng = random.Random(31)
+    dense = list(itertools.accumulate(rng.randint(1, 5) for _ in range(300)))
+    return dense + [dense[-1] + i * 2**56 + rng.randint(0, 2**40) for i in range(1, 40)]
+
+
+def _long_segment_values():
+    """A straight run longer than a kernel chunk, across a chunk boundary,
+    between runs of random gaps."""
+    rng = random.Random(32)
+    gaps = ([rng.randint(1, 40) for _ in range(_CHUNK - 500)] + [7] * (_CHUNK + 1000)
+            + [rng.randint(1, 40) for _ in range(2000)])
+    return list(itertools.accumulate(gaps))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("setting", [COMPRESSION, INDEXING])
+    @pytest.mark.parametrize("make", [_mixed_guard_values, _long_segment_values])
+    def test_rounding_matches_exact_path(self, make, setting):
+        points = PointSeq(make(), setting=setting)
+        xs, ys = points.plane_points()
+        spans, slopes = optimal_spans(xs, ys, 4)
+        pla = round_to_integer_endpoints(spans, slopes, 4, points)
+        views = _plane_views(points)
+        anchors = [_exact_anchors(*views, s, e, sl) for (s, e), sl in zip(spans, slopes)]
+        assert [(seg.intercept, seg.final_y) for seg in pla.segments] == anchors
+        errors = [max(abs(pred - y) for _, pred, y in _exact_points(*views, s, e, *a))
+                  for (s, e), a in zip(spans, anchors)]
+        assert _checked_errors(pla, points)[2] == errors
+        assert pla.epsilon_eff == max(errors) == exact_max_error(pla, points)
+
+        # which segments the kernels took
+        plane = _plane_arrays(points)
+        starts, ends = np.array(spans, dtype=np.int64).T
+        round_ok = _kernel_anchors(plane, starts, ends, _int64_slopes(slopes))[2]
+        betas, gammas = (_int64([a[k] for a in anchors], len(anchors)) for k in (0, 1))
+        error_ok = _kernel_errors(plane, starts, ends, betas, gammas)[1]
+        if make is _mixed_guard_values:
+            assert round_ok.any() and not round_ok.all()
+            assert error_ok.any() and not error_ok.all()
+        else:
+            assert round_ok.all() and error_ok.all()
+            assert any(e - s >= _CHUNK and s // _CHUNK != e // _CHUNK for s, e in spans)
