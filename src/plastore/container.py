@@ -18,7 +18,8 @@ components:
   v'_i - v_i - b in bit_length(v_{i+1} - v_i - 2b) bits, concatenated;
   v'_l = u is implicit.  On the position axis p'_i = p_{i+1} - 1 and
   p'_l = n, so nothing is stored for it;
-* P -- the absolute start offset of every 8th B field (FieldOffsets);
+* P -- the absolute start offset of every 8th B field (FieldOffsets),
+  which load checks against the offsets it rebuilds from the value axis;
 * delta_beta, delta_gamma -- w_delta-bit zig-zag deltas of beta_i against
   y_i and of gamma_i against y'_i, where w_delta fits 2*epsilon_eff.
 
@@ -44,14 +45,18 @@ import struct
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+import numpy as np
+
 from .errors import FormatError
 from .pla import Segment, interpolate
-from .succinct import BitVector, EliasFano, PackedIntArray, RankSelectIndex, Stored, read_words
+from .succinct import (BitVector, EliasFano, PackedIntArray, RankSelectIndex, Stored, bit_lengths, read_words,
+                        unpack_fields)
 
 FORMAT_VERSION = 2
 
 # P keeps the absolute offset of every OFFSET_SAMPLE_RATE-th B field.
 OFFSET_SAMPLE_RATE = 8
+_BIAS_LIMIT = 1 << 62  # load sums the B widths in int64 only for a smaller bias
 
 MODE_EF = "ef"
 MODE_RS = "rs"
@@ -82,9 +87,11 @@ class FieldOffsets(Stored):
     sum of widths the coordinates already fix.  Only the absolute offset
     of field i for i = 1 (mod k), 1 < i < ell, is stored, packed in
     bit_length(|B|) bits each; field 1 starts at 0 and the sentinel |B|
-    closes the last block.  A field's offset is the nearer of its block's
-    two bounding offsets, plus or minus the widths of the fields in
-    between, read from one run of coordinates (`coords(start, count)`:
+    closes the last block.  Load rebuilds every offset from all ell
+    coordinates, takes |B| as their sum and refuses a stored offset that
+    differs from the rebuilt one.  A field's offset is the nearer of its
+    block's two bounding offsets, plus or minus the widths of the fields
+    in between, read from one run of coordinates (`coords(start, count)`:
     one select, then a forward scan).
 
     `n_values` and `select(i)` (i <= ell, with select(ell) == |B|) read it
@@ -108,13 +115,35 @@ class FieldOffsets(Stored):
         return cls(len(starts), total, samples, coords, bias)
 
     @classmethod
-    def from_bytes_raw(cls, data, ell, coords, bias):
-        """Rebuild |B| from one run over all ell coordinates, then read
-        the samples; returns the offsets and the end of the samples."""
-        cs = coords(1, ell)
-        total = sum((b - a - bias).bit_length() for a, b in zip(cs, cs[1:]))
-        count = max(0, ell - 2) // OFFSET_SAMPLE_RATE
+    def from_bytes_raw(cls, data, ell, coords, bias, whole=None):
+        """Rebuild every field's end offset from all ell coordinates, with
+        |B| the last, then read the samples and check each against the
+        offset it should hold; returns the offsets and the end of the
+        samples.  `whole` is the axis's Axis.whole: where it gives the
+        coordinates as an int64 array, numpy sums the widths; otherwise
+        one run of `coords` reads them and Python integers sum the widths.
+        FormatError if a stored sample differs from its offset."""
+        k = OFFSET_SAMPLE_RATE
+        count = max(0, ell - 2) // k
+        cs = whole() if whole is not None and abs(bias) < _BIAS_LIMIT else None
+        if cs is None:
+            cs = coords(1, ell)
+            ends = list(accumulate([(b - a - bias).bit_length() for a, b in zip(cs, cs[1:])]))
+        else:  # every gap is below 2^62 in magnitude, and so is the bias
+            ends = np.cumsum(bit_lengths(np.abs(np.diff(cs) - bias)))
+        total = int(ends[-1]) if ell > 1 else 0
         samples, off = PackedIntArray.from_bytes_raw(data, 0, count, total.bit_length())
+        expect = ends[k - 1::k][:count]  # the offsets of fields k + 1, 2k + 1, ...
+        if isinstance(ends, list):
+            stored = [samples.get(j) for j in range(count)]
+            ok = stored == expect
+        else:
+            stored = unpack_fields(samples.bits.words, count, samples.width)
+            ok = np.array_equal(stored, expect)
+        if not ok:
+            j = next(j for j in range(count) if stored[j] != expect[j])
+            raise FormatError(f"P sample {j + 1} holds {stored[j]}, "
+                              f"but B field {k * (j + 1) + 1} starts at {expect[j]}")
         return cls(ell, total, samples, coords, bias), off
 
     def field(self, i, probes=None):
@@ -146,10 +175,7 @@ class FieldOffsets(Stored):
             c_i, c_next = cs[0], cs[1]
         if probes is not None:
             probes.primitives += min(up, down)
-        width = (c_next - c_i - bias).bit_length()
-        if start < 0 or start + width > self.total:
-            raise FormatError(f"B field {i} at [{start}, {start + width}) leaves [0, {self.total}]")
-        return c_i, start, width
+        return c_i, start, (c_next - c_i - bias).bit_length()
 
     def select(self, i):
         """Start offset of field i, or |B| for i == ell."""
@@ -263,17 +289,20 @@ class Axis:
     """One axis's first coordinates c_1 <= ... <= c_ell (see module
     docstring).  skip, shift and end are its rule; once bound to the
     stored sequence s, `select(k)` reads s_k, `run(k, count)` a run of
-    them, and c_i = s_{i-skip} + shift*(i-1) + base."""
+    them, `whole()` all of them as an int64 array or None (see
+    EliasFano.values_array; `whole` is None for a bitvector), and
+    c_i = s_{i-skip} + shift*(i-1) + base."""
 
-    __slots__ = ("skip", "shift", "end", "select", "run", "base")
+    __slots__ = ("skip", "shift", "end", "select", "run", "base", "whole")
 
-    def __init__(self, skip, shift, end, select=None, run=None, base=0):
+    def __init__(self, skip, shift, end, select=None, run=None, base=0, whole=None):
         self.skip = skip  # 1 on the position axis, whose first coordinate 1 is implicit
         self.shift = shift
         self.end = end  # the axis's last coordinate: u on the value axis, n on the other
         self.select = select
         self.run = run
         self.base = base
+        self.whole = whole
 
     def universe(self, ell):
         return max(1, self.end - self.shift * (ell - 1) + 1 - self.skip)
@@ -285,7 +314,7 @@ class Axis:
 
     def bind(self, ef):
         """This axis read from its Elias-Fano sequence."""
-        return Axis(self.skip, self.shift, self.end, ef.select, ef.select_run, self.skip)
+        return Axis(self.skip, self.shift, self.end, ef.select, ef.select_run, self.skip, ef.values_array)
 
     def bind_bits(self, rs):
         """This axis read from a bitvector with a one at c_i - 1 - skip."""
@@ -475,8 +504,7 @@ class PlaContainer:
             x_i, x_last, y_i, y_last = p_i, p_last, v_i, v_last
         beta = y_i + unzigzag(self.d_beta.get(i - 1))
         gamma = y_last + unzigzag(self.d_gamma.get(i - 1))
-        return Segment(first_x=x_i, last_x=x_last, intercept=beta,
-                       final_y=gamma, first_y=y_i, last_y=y_last)
+        return tuple.__new__(Segment, (x_i, x_last, beta, gamma, y_i, y_last))  # Segment's field order, unchecked
 
     def predict(self, x, probes=None):
         """Approximate y at x."""
@@ -534,7 +562,7 @@ class PlaContainer:
             x, x_end = RankSelectIndex.from_bytes_raw(parts[0], 0, max(0, xr.end - xr.skip), ell - xr.skip)
         y_ef, y_end = EliasFano.from_bytes_raw(parts[1], 0, ell - yr.skip, yr.universe(ell))
         store = cls(mode, header, x, y_ef)
-        store.p_ef, p_end = FieldOffsets.from_bytes_raw(parts[3], ell, *store.field_coords())
+        store.p_ef, p_end = FieldOffsets.from_bytes_raw(parts[3], ell, *store.field_coords(), store.value_axis.whole)
         store.b_bits, b_end = BitVector.from_bytes_raw(parts[2], 0, store.p_ef.total)
         store.d_beta, db_end = PackedIntArray.from_bytes_raw(parts[4], 0, ell, w_delta)
         store.d_gamma, dg_end = PackedIntArray.from_bytes_raw(parts[5], 0, ell, w_delta)

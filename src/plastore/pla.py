@@ -22,7 +22,7 @@ decided exactly and each point costs amortized constant work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -382,7 +382,8 @@ def round_to_integer_endpoints(spans, slopes, epsilon: int, points: PointSeq) ->
     values = list(map(value_at, starts.tolist())), list(map(value_at, ends.tolist()))
     ranks = (starts + 1).tolist(), (ends + 1).tolist()
     (first_x, last_x), (first_y, last_y) = (ranks, values) if points.setting == COMPRESSION else (values, ranks)
-    segments = list(map(Segment, first_x, last_x, betas, gammas, first_y, last_y))
+    # tuple.__new__ skips the named tuple's Python-level constructor, half the cost here
+    segments = list(map(tuple.__new__, repeat(Segment), zip(first_x, last_x, betas, gammas, first_y, last_y)))
     return Pla(segments, epsilon, eps_eff, points.setting)
 
 

@@ -31,6 +31,11 @@ directory from the high bits and checks it against them.  The
 Elias-Fano predecessor search (``EliasFano.count_at_most``) bisects
 those rebuilt rank block counts, so it reads no table that load did not
 check.
+
+A whole Elias-Fano sequence is decoded either by ``select_run`` in Python
+integers, or by one numpy int64 kernel (``EliasFano.values_array``) when
+it is long enough to pay for the kernel and its universe keeps every
+value far below 2^63; ``values()`` reads through whichever applies.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from itertools import islice
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -51,6 +58,13 @@ RANK_BLOCK_BITS = 512
 SELECT_SAMPLE_RATE = 512
 _BLOCK_WORDS = RANK_BLOCK_BITS // WORD_BITS
 
+# The numpy kernel decodes a whole Elias-Fano sequence of at least
+# _KERNEL_MIN_VALUES values (below, select_run is faster) over a universe
+# of at most _KERNEL_UNIVERSE, which keeps every value it forms, and every
+# difference of two, below 2^62 in magnitude.
+_KERNEL_MIN_VALUES = 80
+_KERNEL_UNIVERSE = 1 << 60
+
 
 def read_words(data, off: int, count: int, code: str = "Q"):
     """`count` little-endian words ("Q": u64, "I": u32) of `data` from byte
@@ -59,6 +73,27 @@ def read_words(data, off: int, count: int, code: str = "Q"):
     if end > len(data):
         raise FormatError(f"component truncated: needs {end} bytes, has {len(data)}")
     return list(struct.unpack_from(f"<{count}{code}", data, off)), end
+
+
+def unpack_fields(words, count: int, width: int):
+    """The `count` fields of `width` < 64 bits laid down from bit 0 of
+    `words` (u64 words, least significant bit first), as an int64 array."""
+    if not width or not count:
+        return np.zeros(count, dtype=np.int64)
+    w = np.array(words + [0], dtype=np.uint64)  # a zero word for the last field's straddle read
+    pos = np.arange(0, count * width, width, dtype=np.int64)
+    wi, shift = pos >> 6, (pos & 63).astype(np.uint64)
+    # the straddling word shifted in two steps: a shift by 64 is undefined
+    fields = (w[wi] >> shift) | ((w[wi + 1] << 1) << (63 - shift))
+    return (fields & ((1 << width) - 1)).view(np.int64)
+
+
+def bit_lengths(a):
+    """int.bit_length of each element of a non-negative int64 array: the
+    float64 exponent, which rounding makes one too large just below a power
+    of two above 2^53, less one where the value is below 2^(exponent - 1)."""
+    e = np.frexp(a.astype(np.float64))[1].astype(np.int64)
+    return e - ((e > 0) & (a >> np.maximum(e - 1, 0) == 0))
 
 
 # _SELECT_IN_BYTE[b][r]: position of the (r+1)-th 1-bit of byte b
@@ -560,8 +595,22 @@ class EliasFano(Stored):
         k = self.count_at_most(x)
         return (k, self.select(k)) if k else None
 
+    def values_array(self):
+        """Every value as an int64 array, decoded at once by the numpy
+        kernel: each high part is the position of its one-bit in the high
+        bits less its ordinal, and the lows are one fixed-width unpack.
+        None when there are fewer than _KERNEL_MIN_VALUES values or the
+        universe exceeds _KERNEL_UNIVERSE: the caller reads select_run."""
+        n = self.n_values
+        if n < _KERNEL_MIN_VALUES or self.universe > _KERNEL_UNIVERSE:
+            return None
+        high = np.array(self.high_rs.owner.words, dtype="<u8").view(np.uint8)
+        highs = np.flatnonzero(np.unpackbits(high, bitorder="little"))[:n] - np.arange(n)
+        return (highs << self.low_width) | unpack_fields(self.lows.bits.words, n, self.low_width)
+
     def values(self):
-        return self.select_run(1, self.n_values)
+        whole = self.values_array()
+        return self.select_run(1, self.n_values) if whole is None else whole.tolist()
 
     def __len__(self) -> int:
         return self.n_values

@@ -1,5 +1,7 @@
 """Shared fixtures: deterministic random sequence generation and the
-session-scoped instance corpora used by the acceptance suite."""
+session-scoped instance corpora used by the acceptance suite.  Every
+hypothesis test draws the same examples on every run (the "reproducible"
+profile, loaded here)."""
 
 from __future__ import annotations
 
@@ -7,9 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from plastore import COMPRESSION, INDEXING, PointSeq, build_optimal_pla
 from plastore.pla import interpolate
+
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 EPSILONS = (1, 2, 4, 8, 16, 32, 64)
 MAX_N = 10**5

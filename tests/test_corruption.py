@@ -1,17 +1,19 @@
 """Corrupted containers: seeded truncations and bit flips of one
 3000-key container per setting and mode, flipped Elias-Fano and rs select
-samples, forged rank block counts, padded component payloads, forged
-header fields, and fuzzed mutations of small containers.  Loading is
+samples, flipped P samples, forged rank block counts, padded component
+payloads, forged header fields, and fuzzed mutations of small
+containers.  Loading is
 refused with an error that the CLI reports as one `error:` line
 (FormatError is a ValueError), never with a struct.error traceback."""
 
 import random
 import struct
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, FormatError, PointSeq, build_optimal_pla
+from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, FormatError, PointSeq, build_optimal_pla, succinct
 from plastore.container import ENVELOPE_BYTES, ENVELOPE_FMT, N_COMPONENTS, pack_components, unpack_components
 from plastore.store_compression import CompressedPlaC, encode_c
 from plastore.store_indexing import CompressedPlaI, encode_i
@@ -74,8 +76,8 @@ def test_stats_on_a_flipped_universe_is_one_error_line(setting, tmp_path):
 def test_flipped_bits_load_or_raise_format_error(setting, mode):
     # a directory or bitvector that holds fewer ones than the header
     # promises is refused at load, not left to a scan that runs off the
-    # end; a flipped P sample or coordinate that forges a B field offset
-    # past the end of B is refused at decode; a flipped rank block count
+    # end; so is a flipped P sample, which load checks against the B
+    # offsets it rebuilds from the coordinates; a flipped rank block count
     # that ranks a key outside the segments is refused at predict.  Only
     # keys the loaded container covers are queried, so any other error
     # is a fault.
@@ -146,6 +148,29 @@ def test_flipped_rs_select_sample_refused(setting):
         bad[bit >> 3] ^= 1 << (bit & 7)
         with pytest.raises(FormatError, match="select sample"):
             CODECS[setting][1].from_bytes(bytes(bad))
+
+
+@pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
+@pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
+def test_flipped_p_sample_refused(setting, mode):
+    # every bit of every stored P sample: load rebuilds each B offset from
+    # the value-axis coordinates and refuses a sample that differs, on both
+    # sides of the Elias-Fano kernel's size selection (the rs value axis of
+    # indexing is read by select_run on both)
+    cls = CODECS[setting][1]
+    data = container(setting, mode, n=300, epsilon=1)
+    p = cls.from_bytes(data).p_ef
+    assert len(p.samples) >= 4
+    off = ENVELOPE_BYTES
+    for _ in range(3):  # skip X, Y and B
+        off += 4 + struct.unpack_from("<I", data, off)[0]
+    for kernel_min in (1, 1 << 40):
+        with patch.object(succinct, "_KERNEL_MIN_VALUES", kernel_min):
+            for bit in range(8 * (off + 4), 8 * (off + 4) + len(p.samples) * p.samples.width):
+                bad = bytearray(data)
+                bad[bit >> 3] ^= 1 << (bit & 7)
+                with pytest.raises(FormatError, match="P sample"):
+                    cls.from_bytes(bytes(bad))
 
 
 @pytest.mark.parametrize("component", range(N_COMPONENTS))
