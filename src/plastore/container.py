@@ -43,14 +43,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, count, repeat
+from operator import itemgetter, sub
 
 import numpy as np
 
 from .errors import FormatError
 from .pla import Segment, interpolate
-from .succinct import (BitVector, EliasFano, PackedIntArray, RankSelectIndex, Stored, bit_lengths, read_words,
-                        unpack_fields)
+from .succinct import (BitVector, EliasFano, PackedIntArray, RankSelectIndex, Stored, bit_lengths, pack_fields,
+                        read_words, unpack_fields)
 
 FORMAT_VERSION = 2
 
@@ -75,6 +76,17 @@ def zigzag(d: int) -> int:
 
 def unzigzag(z: int) -> int:
     return (z >> 1) if (z & 1) == 0 else -((z + 1) >> 1)
+
+
+def check_pairs(rules):
+    """Raise the message of the first rule broken, checking the pairs of
+    consecutive segments in order and each pair's rules in the order
+    listed: `rules` is a list of (message, broken), where broken[i] is
+    true if segment pair i breaks the rule."""
+    if any(any(broken) for _, broken in rules):
+        broken = np.array([b for _, b in rules], dtype=bool)
+        i = int(broken.any(axis=0).argmax())  # the first pair that breaks a rule
+        raise ValueError(rules[int(broken[:, i].argmax())][0])
 
 
 class FieldOffsets(Stored):
@@ -108,11 +120,12 @@ class FieldOffsets(Stored):
         self.bias = bias
 
     @classmethod
-    def encode(cls, starts, coords, bias):
-        """From the ell - 1 field offsets followed by |B|."""
-        total = starts[-1]
-        samples = PackedIntArray.from_values(starts[OFFSET_SAMPLE_RATE:-1:OFFSET_SAMPLE_RATE], total.bit_length())
-        return cls(len(starts), total, samples, coords, bias)
+    def encode(cls, ends, coords, bias):
+        """From the end offsets of the ell - 1 fields, an int64 array."""
+        k = OFFSET_SAMPLE_RATE
+        total = int(ends[-1]) if len(ends) else 0
+        samples = PackedIntArray.from_values(ends[k - 1:-1:k].astype(np.uint64), total.bit_length())
+        return cls(len(ends) + 1, total, samples, coords, bias)
 
     @classmethod
     def from_bytes_raw(cls, data, ell, coords, bias, whole=None):
@@ -309,7 +322,7 @@ class Axis:
 
     def encode(self, coords):
         skip, shift = self.skip, self.shift
-        return EliasFano.encode([coords[i] - shift * i - skip for i in range(skip, len(coords))],
+        return EliasFano.encode(list(map(sub, coords[skip:], count(shift * skip + skip, shift))),
                                 self.universe(len(coords)))
 
     def bind(self, ef):
@@ -348,7 +361,8 @@ class PlaContainer:
     setting supplies the axis rule: MAGIC, SETTING, VALUE_AXIS ("x" or
     "y"), shifts(epsilon) -> (position shift, value shift), B_BIAS (b),
     GAMMA_LAST (whether size_bits reports gamma_l as its own component),
-    check_segments and range_error.  An rs X bitvector on the value axis
+    check_segments (over the segment columns first_x, last_x, first_y,
+    last_y) and range_error.  An rs X bitvector on the value axis
     reaches at least the last first key, which the header does not fix,
     so its length is stored.
 
@@ -415,46 +429,44 @@ class PlaContainer:
         header = (n, u, ell, pla.epsilon, pla.epsilon_eff, w_delta)
         if max(header) >> 64:
             raise ValueError(f"header value {max(header)} does not fit in 64 bits")
+        if pla.epsilon < 1:  # the loader refuses such a header
+            raise ValueError(f"epsilon {pla.epsilon} is below 1")
         if pla.epsilon_eff > pla.epsilon + 3:
             raise ValueError(f"epsilon_eff {pla.epsilon_eff} exceeds epsilon + 3 = {pla.epsilon + 3}")
-        segs = pla.segments
-        cls.check_segments(segs, n, u, pla.epsilon)
+        # the segment columns, each a list of ints (zip(*segments) would
+        # allocate a tracked iterator per segment and wake the collector)
+        fx, lx, beta, gamma, fy, ly = [list(map(itemgetter(k), pla.segments)) for k in range(6)]
+        cls.check_segments(fx, lx, fy, ly, n, u, pla.epsilon)
 
         xr, yr = cls.axis_rules(n, u, pla.epsilon)
-        firsts_x = [s.first_x for s in segs]
-        firsts_y = [s.first_y for s in segs]
         if mode == MODE_EF:
-            x = xr.encode(firsts_x)
+            x = xr.encode(fx)
         else:
-            x_len = max(xr.end - xr.shift, firsts_x[-1]) if cls.VALUE_AXIS == "x" else max(0, xr.end - xr.skip)
+            x_len = max(xr.end - xr.shift, fx[-1]) if cls.VALUE_AXIS == "x" else max(0, xr.end - xr.skip)
             if x_len >> 32:  # its length and select samples are stored as u32
                 raise ValueError(f"rs bitvector of {x_len} bits exceeds the format's 2^32 - 1; use ef mode")
-            x = RankSelectIndex(BitVector.from_ones(x_len, [c - 1 - xr.skip for c in firsts_x[xr.skip:]]))
-        store = cls(mode, header, x, yr.encode(firsts_y))
+            x = RankSelectIndex.from_ones(x_len, map(sub, fx[xr.skip:], repeat(1 + xr.skip)))
+        store = cls(mode, header, x, yr.encode(fy))
 
-        if cls.VALUE_AXIS == "x":
-            firsts, lasts = firsts_x, [s.last_x for s in segs]
-        else:
-            firsts, lasts = firsts_y, [s.last_y for s in segs]
+        # once the value axis is encoded, its coordinates lie in [0, 2^64)
+        # and its gaps are at least 2b, so the uint64 widths cannot wrap
+        firsts, lasts = (fx, lx) if cls.VALUE_AXIS == "x" else (fy, ly)
         b = cls.B_BIAS
-        fields = [(lasts[i] - firsts[i] - b, (firsts[i + 1] - firsts[i] - 2 * b).bit_length())
-                  for i in range(ell - 1)]
-        store.b_bits = BitVector.from_fields(fields)
-        starts = list(accumulate([w for _, w in fields], initial=0))
-        store.p_ef = FieldOffsets.encode(starts, *store.field_coords())
+        widths = bit_lengths(np.diff(np.array(firsts, dtype=np.uint64)) - np.uint64(2 * b))
+        values = list(map(sub, map(sub, lasts[:-1], firsts), repeat(b)))  # v'_i - v_i - b
+        store.b_bits = BitVector(*pack_fields(values, widths))
+        store.p_ef = FieldOffsets.encode(np.cumsum(widths), *store.field_coords())
 
-        max_code = (1 << w_delta) - 1
-        db = []
-        dg = []
-        for s in segs:
-            zb = zigzag(s.intercept - s.first_y)
-            zg = zigzag(s.final_y - s.last_y)
-            if zb > max_code or zg > max_code:
-                raise ValueError("anchor delta exceeds the recorded effective error")
-            db.append(zb)
-            dg.append(zg)
-        store.d_beta = PackedIntArray.from_values(db, w_delta)
-        store.d_gamma = PackedIntArray.from_values(dg, w_delta)
+        deltas = list(map(sub, beta, fy)) + list(map(sub, gamma, ly))
+        lo, hi = min(deltas), max(deltas)
+        if zigzag(lo) >> w_delta or zigzag(hi) >> w_delta:
+            raise ValueError("anchor delta exceeds the recorded effective error")
+        if not -(1 << 63) <= lo <= hi < 1 << 63:
+            raise ValueError("anchor delta of 2^63 or more: its zig-zag code does not fit in 64 bits")
+        d = np.array(deltas, dtype=np.int64)
+        codes = ((d << 1) ^ (d >> 63)).view(np.uint64)  # zig-zag: the sign in the low bit
+        store.d_beta = PackedIntArray.from_values(codes[:ell], w_delta)
+        store.d_gamma = PackedIntArray.from_values(codes[ell:], w_delta)
         return store
 
     def field_coords(self):

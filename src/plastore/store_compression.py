@@ -8,10 +8,14 @@ positions by 1 per segment.  The layout is in container.py.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import lt, ne, sub
+
 from .container import (
     ENVELOPE_BYTES,
     N_COMPONENTS,
     PlaContainer,
+    check_pairs,
     unpack_components,
     unpack_envelope,
 )
@@ -34,15 +38,14 @@ class CompressedPlaC(PlaContainer):
         return 1, 0
 
     @staticmethod
-    def check_segments(segs, n, u, epsilon):
-        if segs[0].first_x != 1:
+    def check_segments(fx, lx, fy, ly, n, u, epsilon):
+        if fx[0] != 1:
             raise ValueError("first segment must start at position 1")
-        for i in range(len(segs) - 1):
-            if segs[i + 1].first_x - segs[i].first_x < 2:
-                raise ValueError("non-final segments must cover at least 2 positions")
-            if segs[i + 1].first_x != segs[i].last_x + 1:
-                raise ValueError("segments must partition the position axis")
-        if segs[-1].last_x != n or segs[-1].last_y != u:
+        check_pairs([("non-final segments must cover at least 2 positions",
+                      list(map(lt, map(sub, fx[1:], fx), repeat(2)))),
+                     ("segments must partition the position axis",
+                      list(map(ne, map(sub, fx[1:], lx), repeat(1))))])
+        if lx[-1] != n or ly[-1] != u:
             raise ValueError("last segment must end at position n / value u")
 
     def range_error(self, x):

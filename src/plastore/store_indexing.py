@@ -12,10 +12,14 @@ as its own `gamma_last` component.  The layout is in container.py.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import lt, ne, sub
+
 from .container import (
     ENVELOPE_BYTES,
     N_COMPONENTS,
     PlaContainer,
+    check_pairs,
     unpack_components,
     unpack_envelope,
 )
@@ -38,15 +42,14 @@ class CompressedPlaI(PlaContainer):
         return 2 * epsilon - 1, 2 * epsilon - 1
 
     @staticmethod
-    def check_segments(segs, n, u, epsilon):
-        for i in range(len(segs) - 1):
-            if segs[i + 1].first_x - segs[i].first_x < 2 * epsilon:
-                raise ValueError("non-final segments must span at least 2*epsilon keys")
-            if segs[i + 1].first_y - segs[i].first_y < 2 * epsilon:
-                raise ValueError("non-final segments must cover at least 2*epsilon points")
-            if segs[i + 1].first_y != segs[i].last_y + 1:
-                raise ValueError("segments must partition the position axis")
-        if segs[0].first_y != 1 or segs[-1].last_y != n or segs[-1].last_x != u:
+    def check_segments(fx, lx, fy, ly, n, u, epsilon):
+        check_pairs([("non-final segments must span at least 2*epsilon keys",
+                      list(map(lt, map(sub, fx[1:], fx), repeat(2 * epsilon)))),
+                     ("non-final segments must cover at least 2*epsilon points",
+                      list(map(lt, map(sub, fy[1:], fy), repeat(2 * epsilon)))),
+                     ("segments must partition the position axis",
+                      list(map(ne, map(sub, fy[1:], ly), repeat(1))))])
+        if fy[0] != 1 or ly[-1] != n or lx[-1] != u:
             raise ValueError("segments must cover positions 1..n and end at key u")
 
     def range_error(self, x):

@@ -32,6 +32,16 @@ Elias-Fano predecessor search (``EliasFano.count_at_most``) bisects
 those rebuilt rank block counts, so it reads no table that load did not
 check.
 
+Encode writes every bitvector through one numpy path in uint64, so any
+value below 2^64: ``pack_fields`` lays down (value, width) fields from
+their prefix-sum offsets, ORing each into its word and the next with one
+``bitwise_or.reduceat``, and ``RankSelectIndex.from_ones`` builds a
+vector and its whole directory from the sorted one-bit positions, the
+block counts by ``searchsorted`` and the samples every
+SELECT_SAMPLE_RATE-th position, without a scan of the words (load
+rebuilds an Elias-Fano directory by that scan, ``_scan_directory``).
+The words stay lists of Python ints for the queries.
+
 A whole Elias-Fano sequence is decoded either by ``select_run`` in Python
 integers, or by one numpy int64 kernel (``EliasFano.values_array``) when
 it is long enough to pay for the kernel and its universe keeps every
@@ -88,12 +98,63 @@ def unpack_fields(words, count: int, width: int):
     return (fields & ((1 << width) - 1)).view(np.int64)
 
 
+def pack_fields(values, widths):
+    """The inverse of unpack_fields: (words, nbits) of the fields values[i]
+    laid down in widths[i] bits one after another from bit 0, least
+    significant bit first, with the words a list of Python ints.  `widths`
+    is one int for every field or a sequence of them; `values` is a uint64
+    array, or a sequence of ints, range-checked before its conversion.
+    Each field is ORed into the word it starts in and, where it straddles,
+    into the next (_or_words).  ValueError for the first value that does
+    not fit in its width, or in 64 bits."""
+    count = len(values)
+    widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), (count,))
+    if not isinstance(values, np.ndarray):
+        if count and (min(values) < 0 or max(values) >> 64):
+            v, w = next((v, w) for v, w in zip(values, widths.tolist()) if v >> min(w, 64))
+            raise ValueError(f"value {v} does not fit in {min(w, 64)} bits")
+        values = np.array(values, dtype=np.uint64)
+    over = (widths < 64) & (values >> np.minimum(widths, 63).astype(np.uint64) != 0)
+    if over.any():
+        i = int(over.argmax())
+        raise ValueError(f"value {values[i]} does not fit in {widths[i]} bits")
+    ends = np.cumsum(widths)
+    nbits = int(ends[-1]) if count else 0
+    pos = ends - widths
+    shift = (pos & 63).astype(np.uint64)
+    words = np.zeros((nbits >> 6) + 2, dtype=np.uint64)  # room for the straddle of a field ending the last word
+    _or_words(words, pos >> 6, values << shift)
+    # the straddling bits, shifted in two steps: a shift by 64 is undefined
+    _or_words(words, (pos >> 6) + 1, (values >> 1) >> (63 - shift))
+    return words[:(nbits + 63) >> 6].tolist(), nbits
+
+
+def _or_words(words, wi, parts):
+    """OR each of `parts` into words[wi], for non-decreasing word indices
+    `wi`: one bitwise_or.reduceat over each run of equal indices."""
+    first = np.flatnonzero(np.diff(wi, prepend=-1))
+    words[wi[first]] |= np.bitwise_or.reduceat(parts, first)
+
+
+def _ones(length: int, positions):
+    """(words, directory) of a `length`-bit vector with ones at
+    `positions`, a strictly increasing int64 array in [0, length): the
+    words a list of Python ints, and the directory as _scan_directory
+    gives it, its block counts by searchsorted and its samples every
+    SELECT_SAMPLE_RATE-th position."""
+    words = np.zeros((length + 63) >> 6, dtype=np.uint64)
+    _or_words(words, positions >> 6, np.uint64(1) << (positions & 63).astype(np.uint64))
+    counts = np.searchsorted(positions, np.arange(0, length, RANK_BLOCK_BITS))
+    return words.tolist(), (counts.tolist(), positions[::SELECT_SAMPLE_RATE].tolist(), len(positions))
+
+
 def bit_lengths(a):
-    """int.bit_length of each element of a non-negative int64 array: the
-    float64 exponent, which rounding makes one too large just below a power
-    of two above 2^53, less one where the value is below 2^(exponent - 1)."""
-    e = np.frexp(a.astype(np.float64))[1].astype(np.int64)
-    return e - ((e > 0) & (a >> np.maximum(e - 1, 0) == 0))
+    """int.bit_length of each element of a non-negative int64 or uint64
+    array: the float64 exponent (at most 64), which rounding makes one too
+    large just below a power of two above 2^53, less one where the value
+    is below 2^(exponent - 1)."""
+    e = np.minimum(np.frexp(a.astype(np.float64))[1], 64).astype(np.int64)
+    return e - ((e > 0) & (a >> np.maximum(e - 1, 0).astype(a.dtype) == 0))
 
 
 # _SELECT_IN_BYTE[b][r]: position of the (r+1)-th 1-bit of byte b
@@ -159,34 +220,16 @@ class BitVector(Stored):
     @classmethod
     def from_ones(cls, length: int, one_positions) -> "BitVector":
         """Bitvector of `length` zeros with ones at the given positions."""
-        words = [0] * ((length + 63) // 64)
-        for p in one_positions:
-            if not 0 <= p < length:
-                raise ValueError(f"bit position {p} out of range [0, {length})")
-            words[p >> 6] |= 1 << (p & 63)
-        return cls(words, length)
+        return RankSelectIndex.from_ones(length, one_positions).owner
 
     @classmethod
     def from_fields(cls, fields) -> "BitVector":
         """The (value, width) fields laid down one after another, least
-        significant bit first; ValueError if a value does not fit its
-        width."""
-        words = []
-        pending = 0  # the bits not yet in a word, fewer than 64
-        fill = 0
-        for value, width in fields:
-            if value >> width:  # also true for a negative value
-                raise ValueError(f"value {value} does not fit in {width} bits")
-            pending |= value << fill
-            fill += width
-            while fill >= 64:
-                words.append(pending & _WORD_MASK)
-                pending >>= 64
-                fill -= 64
-        nbits = 64 * len(words) + fill
-        if fill:
-            words.append(pending)
-        return cls(words, nbits)
+        significant bit first (pack_fields); ValueError if a value does not
+        fit its width or 64 bits."""
+        fields = list(fields)
+        values, widths = zip(*fields) if fields else ((), ())
+        return cls(*pack_fields(values, widths))
 
     def get(self, pos: int) -> int:
         if not 0 <= pos < self.nbits:
@@ -272,6 +315,22 @@ class RankSelectIndex(Stored):
         if directory is None:
             directory = _scan_directory(owner)
         self.block_counts, self.samples, self.total_ones = directory
+
+    @classmethod
+    def from_ones(cls, length: int, one_positions) -> "RankSelectIndex":
+        """The directory over a `length`-bit vector with ones at the given
+        positions (ints, in any order), built from the positions without a
+        scan of the words; ValueError for the first position outside
+        [0, length)."""
+        positions = list(one_positions)
+        if positions and (min(positions) < 0 or max(positions) >= length):
+            p = next(p for p in positions if not 0 <= p < length)
+            raise ValueError(f"bit position {p} out of range [0, {length})")
+        p = np.array(positions, dtype=np.int64)
+        if (p[1:] <= p[:-1]).any():  # sort and drop repeats only where needed
+            p = np.unique(p)
+        words, directory = _ones(length, p)
+        return cls(BitVector(words, length), directory)
 
     def rank1(self, pos: int) -> int:
         """Count of 1-bits in positions [0, pos)."""
@@ -405,7 +464,9 @@ class PackedIntArray(Stored):
 
     @classmethod
     def from_values(cls, values, width: int) -> "PackedIntArray":
-        return cls(width, len(values), BitVector.from_fields([(v, width) for v in values]))
+        """`values` (a uint64 array or a sequence of ints) in `width` bits
+        each (pack_fields)."""
+        return cls(width, len(values), BitVector(*pack_fields(values, width)))
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.count:
@@ -466,6 +527,8 @@ class EliasFano(Stored):
 
     @classmethod
     def encode(cls, values, universe: int) -> "EliasFano":
+        """The non-decreasing ints `values`, each in [0, universe), for a
+        universe of at most 2^64; ValueError otherwise."""
         values = list(values)
         n = len(values)
         if n == 0 or universe == 0:
@@ -474,17 +537,23 @@ class EliasFano(Stored):
             return cls._empty(universe)
         if universe < 1:
             raise ValueError("universe must be >= 1")
-        prev = 0
-        for v in values:
-            if v < prev:
-                raise ValueError("sequence must be non-decreasing")
-            if not 0 <= v < universe:
-                raise ValueError(f"value {v} outside [0, {universe})")
-            prev = v
+        if universe > 1 << 64:
+            raise ValueError(f"universe {universe} exceeds 2^64")
+        a = None
+        if min(values) >= 0 and max(values) < universe:  # checked before the conversion
+            a = np.array(values, dtype=np.uint64)
+        if a is None or (a[1:] < a[:-1]).any():
+            for v, prev in zip(values, [0] + values):  # the first value out of order or out of range
+                if v < prev:
+                    raise ValueError("sequence must be non-decreasing")
+                if v >= universe:
+                    raise ValueError(f"value {v} outside [0, {universe})")
         lw, high_len = cls.shape(n, universe)
-        lows = PackedIntArray.from_values([v & ((1 << lw) - 1) for v in values], lw)
-        high = BitVector.from_ones(high_len, [(v >> lw) + k for k, v in enumerate(values)])
-        return cls(n, universe, lw, lows, RankSelectIndex(high))
+        # the high parts shifted in two steps: lw may be 64, and a shift by 64 is undefined
+        highs = (a >> np.uint64(lw // 2)) >> np.uint64(lw - lw // 2)
+        words, directory = _ones(high_len, highs.astype(np.int64) + np.arange(n))
+        lows = PackedIntArray.from_values(a & np.uint64((1 << lw) - 1), lw)
+        return cls(n, universe, lw, lows, RankSelectIndex(BitVector(words, high_len), directory))
 
     def select(self, k: int) -> int:
         """k-th encoded value, 1-indexed."""

@@ -1,5 +1,6 @@
-"""Shared fixtures: deterministic random sequence generation and the
-session-scoped instance corpora used by the acceptance suite.  Every
+"""Shared fixtures: deterministic random sequence generation, the
+session-scoped instance corpora used by the acceptance suite, and the
+Python-integer references the numpy paths are tested against.  Every
 hypothesis test draws the same examples on every run (the "reproducible"
 profile, loaded here)."""
 
@@ -125,3 +126,36 @@ def exact_max_error(pla, points) -> int:
             worst = max(worst, abs(pred - ys[j]))
             j += 1
     return worst
+
+
+def reference_from_fields(fields):
+    """(words, nbits) of the (value, width) fields laid down one after
+    another, least significant bit first, one field at a time in Python
+    integers: the reference for succinct.pack_fields."""
+    words = []
+    pending = 0  # the bits not yet in a word, fewer than 64
+    fill = 0
+    for value, width in fields:
+        if value >> width:  # also true for a negative value
+            raise ValueError(f"value {value} does not fit in {width} bits")
+        pending |= value << fill
+        fill += width
+        while fill >= 64:
+            words.append(pending & ((1 << 64) - 1))
+            pending >>= 64
+            fill -= 64
+    nbits = 64 * len(words) + fill
+    if fill:
+        words.append(pending)
+    return words, nbits
+
+
+def reference_from_ones(length, one_positions):
+    """The words of a `length`-bit vector with ones at the given positions,
+    one position at a time: the reference for RankSelectIndex.from_ones."""
+    words = [0] * ((length + 63) // 64)
+    for p in one_positions:
+        if not 0 <= p < length:
+            raise ValueError(f"bit position {p} out of range [0, {length})")
+        words[p >> 6] |= 1 << (p & 63)
+    return words

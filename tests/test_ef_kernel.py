@@ -48,6 +48,8 @@ def test_bit_lengths_and_unpack_fields():
     # around every power of two: float64 rounds 2^k - 1 up to 2^k for k > 53
     xs = [0] + [v for k in range(1, 63) for v in ((1 << k) - 1, 1 << k, (1 << k) + 1)] + [(1 << 63) - 1]
     assert bit_lengths(np.array(xs, dtype=np.int64)).tolist() == [x.bit_length() for x in xs]
+    xs += [1 << 63, (1 << 63) + 1, (1 << 64) - 1025, (1 << 64) - 1]  # uint64 up to 2^64 - 1
+    assert bit_lengths(np.array(xs, dtype=np.uint64)).tolist() == [x.bit_length() for x in xs]
     rng = random.Random(11)
     for width in range(64):
         for count in (1, 2, 63, 64, 65, 129):

@@ -18,7 +18,7 @@ from plastore import (
     predict_reference,
 )
 from plastore.store_indexing import CompressedPlaI
-from plastore.succinct import BitVector
+from plastore.succinct import RankSelectIndex
 
 
 def build_store(values, eps, mode=MODE_EF):
@@ -98,15 +98,20 @@ class TestEncodeDecode:
 
     def test_rs_bitvector_of_2_32_bits_refused_before_allocation(self, monkeypatch):
         # the format stores the rs length and select samples as u32
-        points = PointSeq([1, 2**32 + 5], setting=INDEXING)
-        pla = build_optimal_pla(points, 1)
+        class Allocated(Exception):
+            pass
 
         def allocate(cls, length, one_positions):
-            pytest.fail(f"allocated an rs bitvector of {length} bits")
+            raise Allocated(length)
 
-        monkeypatch.setattr(BitVector, "from_ones", classmethod(allocate))
+        monkeypatch.setattr(RankSelectIndex, "from_ones", classmethod(allocate))
+        # the control: a small rs encode allocates through the patched builder
+        small = PointSeq([1, 5, 9], setting=INDEXING)
+        with pytest.raises(Allocated):
+            encode_i(build_optimal_pla(small, 1), small, MODE_RS)
+        points = PointSeq([1, 2**32 + 5], setting=INDEXING)
         with pytest.raises(ValueError, match="2\\^32"):
-            encode_i(pla, points, MODE_RS)
+            encode_i(build_optimal_pla(points, 1), points, MODE_RS)
 
     def test_random_roundtrip(self):
         rng = random.Random(21)
