@@ -40,7 +40,9 @@ vector and its whole directory from the sorted one-bit positions, the
 block counts by ``searchsorted`` and the samples every
 SELECT_SAMPLE_RATE-th position, without a scan of the words (load
 rebuilds an Elias-Fano directory by that scan, ``_scan_directory``).
-The words stay lists of Python ints for the queries.
+The words stay lists of Python ints for the queries; from_ones writes
+only the words that hold a one into a list of zeros, and ``write_words``
+serializes words and tables through array.array.
 
 A whole Elias-Fano sequence is decoded either by ``select_run`` in Python
 integers, or by one numpy int64 kernel (``EliasFano.values_array``) when
@@ -51,6 +53,8 @@ value far below 2^63; ``values()`` reads through whichever applies.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from bisect import bisect_right
 from itertools import islice
 
@@ -83,6 +87,18 @@ def read_words(data, off: int, count: int, code: str = "Q"):
     if end > len(data):
         raise FormatError(f"component truncated: needs {end} bytes, has {len(data)}")
     return list(struct.unpack_from(f"<{count}{code}", data, off)), end
+
+
+def write_words(values, code: str = "Q"):
+    """The inverse of read_words: `values` as little-endian words ("Q":
+    u64, "I": u32) in an array.array, ready for a join.  It converts a
+    list in one call, without the argument tuple that struct.pack(*values)
+    builds, so serializing a universe-sized `rs` vector allocates one
+    transient buffer of its size fewer."""
+    a = array(code, values)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a
 
 
 def unpack_fields(words, count: int, width: int):
@@ -131,9 +147,17 @@ def pack_fields(values, widths):
 
 def _or_words(words, wi, parts):
     """OR each of `parts` into words[wi], for non-decreasing word indices
-    `wi`: one bitwise_or.reduceat over each run of equal indices."""
+    `wi` (_word_runs)."""
+    at, ored = _word_runs(wi, parts)
+    words[at] |= ored
+
+
+def _word_runs(wi, parts):
+    """(indices, values) of the words that `parts` touch, for non-decreasing
+    word indices `wi`: each distinct index once, with the OR of its parts
+    by one bitwise_or.reduceat over each run of equal indices."""
     first = np.flatnonzero(np.diff(wi, prepend=-1))
-    words[wi[first]] |= np.bitwise_or.reduceat(parts, first)
+    return wi[first], np.bitwise_or.reduceat(parts, first)
 
 
 def _ones(length: int, positions):
@@ -141,11 +165,16 @@ def _ones(length: int, positions):
     `positions`, a strictly increasing int64 array in [0, length): the
     words a list of Python ints, and the directory as _scan_directory
     gives it, its block counts by searchsorted and its samples every
-    SELECT_SAMPLE_RATE-th position."""
-    words = np.zeros((length + 63) >> 6, dtype=np.uint64)
-    _or_words(words, positions >> 6, np.uint64(1) << (positions & 63).astype(np.uint64))
+    SELECT_SAMPLE_RATE-th position.  Only the words that hold a one are
+    written into a list of zeros: a zeroed uint64 array of the whole
+    length, converted by tolist() and freed, would cost a universe-sized
+    `rs` vector a page fault per 4 KiB on every encode."""
+    words = [0] * ((length + 63) >> 6)
+    at, ored = _word_runs(positions >> 6, np.uint64(1) << (positions & 63).astype(np.uint64))
+    for i, w in zip(at.tolist(), ored.tolist()):
+        words[i] = w
     counts = np.searchsorted(positions, np.arange(0, length, RANK_BLOCK_BITS))
-    return words.tolist(), (counts.tolist(), positions[::SELECT_SAMPLE_RATE].tolist(), len(positions))
+    return words, (counts.tolist(), positions[::SELECT_SAMPLE_RATE].tolist(), len(positions))
 
 
 def bit_lengths(a):
@@ -204,8 +233,7 @@ class Stored:
 
     def to_bytes_raw(self) -> bytes:
         bitvectors, tables = self._parts()
-        return b"".join([struct.pack(f"<{len(bv.words)}Q", *bv.words) for bv in bitvectors]
-                        + [struct.pack(f"<{len(t)}I", *t) for t in tables])
+        return b"".join([write_words(bv.words) for bv in bitvectors] + [write_words(t, "I") for t in tables])
 
 
 class BitVector(Stored):

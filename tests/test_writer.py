@@ -1,10 +1,12 @@
 """The numpy bit-packing writer (succinct.pack_fields) and the directory
 builder over one-bit positions (RankSelectIndex.from_ones) against the
-Python loops they replace (tests/conftest.py), and the encode-side
-limits of the 64-bit writer."""
+Python loops they replace (tests/conftest.py), the word serializer
+(succinct.write_words) against struct.pack, and the encode-side limits
+of the 64-bit writer."""
 
 import random
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from plastore import (COMPRESSION, INDEXING, MODE_EF, MODE_RS, Pla, PointSeq, Se
 from plastore.container import zigzag
 from plastore.store_compression import CompressedPlaC
 from plastore.succinct import (SELECT_SAMPLE_RATE, BitVector, EliasFano, PackedIntArray, RankSelectIndex,
-                               _scan_directory, pack_fields)
+                               _scan_directory, pack_fields, read_words, write_words)
 
 ENCODE = {COMPRESSION: encode_c, INDEXING: encode_i}
 WIDTHS = st.sampled_from((0, 1, 63, 64)) | st.integers(0, 64)
@@ -128,6 +130,20 @@ def test_from_ones_in_any_order_and_out_of_range():
             reference_from_ones(701, bad)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             RankSelectIndex.from_ones(701, bad)
+
+
+@pytest.mark.parametrize("code, top", (("Q", 64), ("I", 32)))
+def test_write_words_matches_struct_pack(code, top):
+    values = [0, 1, (1 << (top - 1)) - 1, 1 << (top - 1), (1 << top) - 1]
+    rng = random.Random(top)
+    values += [rng.getrandbits(top) for _ in range(99)]
+    data = b"".join([write_words(values, code)])
+    assert data == struct.pack(f"<{len(values)}{code}", *values)
+    assert read_words(data, 0, len(values), code) == (values, len(data))
+    assert b"".join([write_words([], code)]) == b""
+    for bad in (-1, 1 << top):
+        with pytest.raises(OverflowError):
+            write_words([0, bad], code)
 
 
 def test_elias_fano_universe_limit():
