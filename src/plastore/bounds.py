@@ -213,15 +213,18 @@ class BoundReport:
     redundancy_per_segment: float
     baseline_bits: dict = field(default_factory=dict)
     components: dict = field(default_factory=dict)
+    in_memory: dict = field(default_factory=dict)  # BitBudget.in_memory: not stored, so in no total
 
     def as_dict(self) -> dict:
         return asdict(self)
 
     def as_text(self) -> str:
         """One key=value line per scalar field, in declaration order, then
-        the components and the baselines, each sorted by name."""
+        the components, the in-memory entries and the baselines, each
+        sorted by name."""
         lines = [f"{key}={val}" for key, val in self.as_dict().items() if not isinstance(val, dict)]
         lines += [f"component.{name}={val}" for name, val in sorted(self.components.items())]
+        lines += [f"in_memory.{name}={val}" for name, val in sorted(self.in_memory.items())]
         lines += [f"baseline.{name}={val}" for name, val in sorted(self.baseline_bits.items())]
         return "\n".join(lines)
 
@@ -269,4 +272,5 @@ def redundancy_report(budget: BitBudget, params: dict, setting: str) -> BoundRep
         redundancy_per_segment=red / ell,
         baseline_bits=baselines,
         components=dict(budget.components),
+        in_memory=dict(budget.in_memory),
     )

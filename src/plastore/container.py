@@ -1,12 +1,12 @@
 """The PLA container shared by both settings, and its plumbing:
-signed-delta packing, sampled offsets of the variable-width B fields,
-size accounting, query instrumentation, and the file envelope.
+signed-delta packing, the B field offsets rebuilt at load, size
+accounting, query instrumentation, and the file envelope.
 
 A PLA is a list of segments over points (x, y).  One axis is the *value
 axis*, which holds the sequence values and ends at u (Y in compression,
 X in indexing); the other is the *position axis*, which holds the ranks
 1..n.  Segment i covers x_i..x'_i and y_i..y'_i and stores the integer
-anchors beta_i (at x_i) and gamma_i (at x'_i).  The container keeps six
+anchors beta_i (at x_i) and gamma_i (at x'_i).  The container keeps five
 components:
 
 * X, Y -- the first coordinates c_1 <= ... <= c_l of each axis, as the
@@ -17,11 +17,12 @@ components:
 * B -- the last value-axis coordinate v'_i of each non-final segment, as
   v'_i - v_i - b in bit_length(v_{i+1} - v_i - 2b) bits, concatenated;
   v'_l = u is implicit.  On the position axis p'_i = p_{i+1} - 1 and
-  p'_l = n, so nothing is stored for it;
-* P -- the absolute start offset of every 8th B field (FieldOffsets),
-  which load checks against the offsets it rebuilds from the value axis;
-* delta_beta, delta_gamma -- w_delta-bit zig-zag deltas of beta_i against
-  y_i and of gamma_i against y'_i, where w_delta fits 2*epsilon_eff.
+  p'_l = n, so nothing is stored for it.  The field offsets are prefix
+  sums of widths the value axis fixes: load rebuilds them and keeps every
+  8th in memory (FieldOffsets);
+* delta_beta, delta_gamma -- the zig-zag deltas of beta_i against y_i and
+  of gamma_i against y'_i, digits in radix m = 2*epsilon_eff + 1 packed K
+  to a group (MixedRadixArray), for the largest K with m^K <= 2^64.
 
 Each setting supplies its axis rule (a PlaContainer subclass):
 
@@ -29,14 +30,15 @@ Each setting supplies its axis rule (a PlaContainer subclass):
     compression  PLAC   Y           1               0            0  n - 1, derived
     indexing     PLAI   X           2e - 1          2e - 1       1  max(u - 2e + 1, x_l), stored
 
-File layout (format version 2): magic (4 bytes) | version u8 | mode u8 |
-n, u, ell, epsilon, epsilon_eff, w_delta as little-endian u64 | the six
-components X, Y, B, P, delta_beta, delta_gamma, each prefixed by its
-length as a u32.  Components are stored in raw form: every length that
-can be derived from the header is omitted from the payload, and so is
-every value the other components determine (the first select sample of a
-directory, the offsets of the B fields between samples, the total length
-of B).
+File layout (format version 3): magic (4 bytes) | version u8 | mode u8 |
+n, u, ell, epsilon, epsilon_eff, w_delta as little-endian u64 | the five
+components X, Y, B, delta_beta, delta_gamma, each prefixed by its length
+as a u32.  Components are stored in raw form: every length that can be
+derived from the header is omitted from the payload, and so is every
+value the other components determine (the first select sample of a
+directory, the offsets of the B fields, the total length of B).  Format
+version 2 stored every 8th B offset as a sixth component, P, and each
+delta in a w_delta-bit field of its own; load refuses it.
 """
 
 from __future__ import annotations
@@ -50,12 +52,11 @@ import numpy as np
 
 from .errors import FormatError
 from .pla import Segment, interpolate
-from .succinct import (BitVector, EliasFano, PackedIntArray, RankSelectIndex, Stored, bit_lengths, pack_fields,
-                        read_words, unpack_fields)
+from .succinct import BitVector, EliasFano, MixedRadixArray, RankSelectIndex, bit_lengths, pack_fields, read_words
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-# P keeps the absolute offset of every OFFSET_SAMPLE_RATE-th B field.
+# FieldOffsets keeps the absolute offset of every OFFSET_SAMPLE_RATE-th B field.
 OFFSET_SAMPLE_RATE = 8
 _BIAS_LIMIT = 1 << 62  # load sums the B widths in int64 only for a smaller bias
 
@@ -66,16 +67,12 @@ _MODE_NAME = {0: MODE_EF, 1: MODE_RS}
 
 ENVELOPE_FMT = "<4sBB6Q"
 ENVELOPE_BYTES = struct.calcsize(ENVELOPE_FMT)
-N_COMPONENTS = 6
+N_COMPONENTS = 5
 
 
 def zigzag(d: int) -> int:
     """Fold a signed delta into an unsigned code (sign in the low bit)."""
     return (d << 1) if d >= 0 else ((-d << 1) - 1)
-
-
-def unzigzag(z: int) -> int:
-    return (z >> 1) if (z & 1) == 0 else -((z + 1) >> 1)
 
 
 def check_pairs(rules):
@@ -89,22 +86,22 @@ def check_pairs(rules):
         raise ValueError(rules[int(broken[:, i].argmax())][0])
 
 
-class FieldOffsets(Stored):
-    """Start offsets of the ell - 1 variable-width B fields.
+class FieldOffsets:
+    """Start offsets of the ell - 1 variable-width B fields, kept in memory
+    only: nothing of it is stored.
 
     Field i (1-indexed) is bit_length(c_{i+1} - c_i - bias) bits wide,
     where c is a coordinate sequence the store keeps (first values in
     compression; first keys, in the form X stores them, in indexing) and
     `bias` turns its gaps into field widths, so each offset is a prefix
-    sum of widths the coordinates already fix.  Only the absolute offset
-    of field i for i = 1 (mod k), 1 < i < ell, is stored, packed in
-    bit_length(|B|) bits each; field 1 starts at 0 and the sentinel |B|
-    closes the last block.  Load rebuilds every offset from all ell
-    coordinates, takes |B| as their sum and refuses a stored offset that
-    differs from the rebuilt one.  A field's offset is the nearer of its
-    block's two bounding offsets, plus or minus the widths of the fields
-    in between, read from one run of coordinates (`coords(start, count)`:
-    one select, then a forward scan).
+    sum of widths the coordinates already fix.  Encode has every offset
+    (`from_ends`); load rebuilds them from all ell coordinates
+    (`from_axis`).  Either keeps the absolute offset of field i for
+    i = 1 (mod k), 1 < i < ell, as a list (`samples`); field 1 starts at
+    0 and the sentinel |B| closes the last block.  A field's offset is the
+    nearer of its block's two bounding offsets, plus or minus the widths
+    of the fields in between, read from one run of coordinates
+    (`coords(start, count)`: one select, then a forward scan).
 
     `n_values` and `select(i)` (i <= ell, with select(ell) == |B|) read it
     like an Elias-Fano sequence of the offsets and the sentinel.
@@ -120,51 +117,39 @@ class FieldOffsets(Stored):
         self.bias = bias
 
     @classmethod
-    def encode(cls, ends, coords, bias):
-        """From the end offsets of the ell - 1 fields, an int64 array."""
+    def from_ends(cls, ends, coords, bias):
+        """From the end offsets of the ell - 1 fields, a list or an int64
+        array."""
         k = OFFSET_SAMPLE_RATE
+        samples = ends[k - 1:-1:k]
         total = int(ends[-1]) if len(ends) else 0
-        samples = PackedIntArray.from_values(ends[k - 1:-1:k].astype(np.uint64), total.bit_length())
-        return cls(len(ends) + 1, total, samples, coords, bias)
+        return cls(len(ends) + 1, total, samples if isinstance(samples, list) else samples.tolist(), coords, bias)
 
     @classmethod
-    def from_bytes_raw(cls, data, ell, coords, bias, whole=None):
-        """Rebuild every field's end offset from all ell coordinates, with
-        |B| the last, then read the samples and check each against the
-        offset it should hold; returns the offsets and the end of the
-        samples.  `whole` is the axis's Axis.whole: where it gives the
-        coordinates as an int64 array, numpy sums the widths; otherwise
-        one run of `coords` reads them and Python integers sum the widths.
-        FormatError if a stored sample differs from its offset."""
-        k = OFFSET_SAMPLE_RATE
-        count = max(0, ell - 2) // k
+    def from_axis(cls, ell, coords, bias, whole=None):
+        """Every field's end offset rebuilt from all ell coordinates.
+        `whole` is the axis's Axis.whole: where it gives the coordinates as
+        an int64 array, numpy sums the widths; otherwise one run of
+        `coords` reads them and Python integers sum the widths."""
         cs = whole() if whole is not None and abs(bias) < _BIAS_LIMIT else None
         if cs is None:
             cs = coords(1, ell)
             ends = list(accumulate([(b - a - bias).bit_length() for a, b in zip(cs, cs[1:])]))
         else:  # every gap is below 2^62 in magnitude, and so is the bias
             ends = np.cumsum(bit_lengths(np.abs(np.diff(cs) - bias)))
-        total = int(ends[-1]) if ell > 1 else 0
-        samples, off = PackedIntArray.from_bytes_raw(data, 0, count, total.bit_length())
-        expect = ends[k - 1::k][:count]  # the offsets of fields k + 1, 2k + 1, ...
-        if isinstance(ends, list):
-            stored = [samples.get(j) for j in range(count)]
-            ok = stored == expect
-        else:
-            stored = unpack_fields(samples.bits.words, count, samples.width)
-            ok = np.array_equal(stored, expect)
-        if not ok:
-            j = next(j for j in range(count) if stored[j] != expect[j])
-            raise FormatError(f"P sample {j + 1} holds {stored[j]}, "
-                              f"but B field {k * (j + 1) + 1} starts at {expect[j]}")
-        return cls(ell, total, samples, coords, bias), off
+        return cls.from_ends(ends, coords, bias)
+
+    def memory_bits(self):
+        """The samples' bits if they were packed in bit_length(|B|) bits
+        each, as format version 2 stored them."""
+        return len(self.samples) * self.total.bit_length()
 
     def field(self, i, probes=None):
         """(c_i, start offset, width) of field i, 1 <= i < ell.
 
         Walks from the block's lower offset up to field i + 1, or down from
         its upper offset to field i, whichever costs fewer primitives: one
-        per coordinate read, one for a stored offset."""
+        per coordinate read, one for a sampled offset."""
         k = OFFSET_SAMPLE_RATE
         ell = self.n_values
         if not 1 <= i < ell:
@@ -176,13 +161,13 @@ class FieldOffsets(Stored):
         bias = self.bias
         if up <= down:
             cs = self.coords(lo, i + 2 - lo)
-            start = self.samples.get((lo - 1) // k - 1) if lo > 1 else 0
+            start = self.samples[(lo - 1) // k - 1] if lo > 1 else 0
             for a, b in zip(cs, cs[1:-1]):
                 start += (b - a - bias).bit_length()
             c_i, c_next = cs[-2], cs[-1]
         else:
             cs = self.coords(i, hi - i + 1)
-            start = self.samples.get((hi - 1) // k - 1) if hi < ell else self.total
+            start = self.samples[(hi - 1) // k - 1] if hi < ell else self.total
             for a, b in zip(cs, cs[1:]):
                 start -= (b - a - bias).bit_length()
             c_i, c_next = cs[0], cs[1]
@@ -195,9 +180,6 @@ class FieldOffsets(Stored):
         if i == self.n_values:
             return self.total
         return self.field(i)[1]
-
-    def _parts(self):
-        return self.samples._parts()
 
 
 class ProbeCounter:
@@ -225,13 +207,16 @@ class BitBudget:
 
     `components` holds logical bits per named component; `padding_bits` is
     the word/byte alignment slack, so that total_bits + padding_bits equals
-    the serialized file size in bits.
+    the serialized file size in bits.  `in_memory` holds the bits of what
+    load rebuilds and keeps without reading it from the file (the sampled
+    B offsets, `p_samples`); it is in none of the totals.
     """
 
     setting: str
     mode: str
     components: dict = field(default_factory=dict)
     padding_bits: int = 0
+    in_memory: dict = field(default_factory=dict)
 
     @property
     def total_bits(self) -> int:
@@ -455,18 +440,19 @@ class PlaContainer:
         widths = bit_lengths(np.diff(np.array(firsts, dtype=np.uint64)) - np.uint64(2 * b))
         values = list(map(sub, map(sub, lasts[:-1], firsts), repeat(b)))  # v'_i - v_i - b
         store.b_bits = BitVector(*pack_fields(values, widths))
-        store.p_ef = FieldOffsets.encode(np.cumsum(widths), *store.field_coords())
+        store.p_ef = FieldOffsets.from_ends(np.cumsum(widths), *store.field_coords())
 
         deltas = list(map(sub, beta, fy)) + list(map(sub, gamma, ly))
         lo, hi = min(deltas), max(deltas)
-        if zigzag(lo) >> w_delta or zigzag(hi) >> w_delta:
+        radix = 2 * pla.epsilon_eff + 1
+        if max(zigzag(lo), zigzag(hi)) >= radix:
             raise ValueError("anchor delta exceeds the recorded effective error")
         if not -(1 << 63) <= lo <= hi < 1 << 63:
             raise ValueError("anchor delta of 2^63 or more: its zig-zag code does not fit in 64 bits")
         d = np.array(deltas, dtype=np.int64)
         codes = ((d << 1) ^ (d >> 63)).view(np.uint64)  # zig-zag: the sign in the low bit
-        store.d_beta = PackedIntArray.from_values(codes[:ell], w_delta)
-        store.d_gamma = PackedIntArray.from_values(codes[ell:], w_delta)
+        store.d_beta = MixedRadixArray.from_digits(codes[:ell], radix)
+        store.d_gamma = MixedRadixArray.from_digits(codes[ell:], radix)
         return store
 
     def field_coords(self):
@@ -514,8 +500,19 @@ class PlaContainer:
             x_i, x_last, y_i, y_last = v_i, v_last, p_i, p_last
         else:
             x_i, x_last, y_i, y_last = p_i, p_last, v_i, v_last
-        beta = y_i + unzigzag(self.d_beta.get(i - 1))
-        gamma = y_last + unzigzag(self.d_gamma.get(i - 1))
+        # both deltas are digit j of group q of their arrays, which share a
+        # shape: MixedRadixArray.group, read inline for both
+        db, dg = self.d_beta, self.d_gamma
+        q, j = divmod(i - 1, db.per_group)
+        width, limit = (db.width, db.limit) if q < db.last else (db.last_width, db.last_limit)
+        zb = db.bits.read_field(q * db.width, width)
+        zg = dg.bits.read_field(q * db.width, width)
+        if zb >= limit or zg >= limit:
+            (db if zb >= limit else dg).group(q)  # raises the FormatError
+        power, radix = db.powers[j], db.radix
+        zb, zg = zb // power % radix, zg // power % radix
+        beta = y_i + ((zb >> 1) ^ -(zb & 1))  # zig-zag decoded: the sign in the low bit
+        gamma = y_last + ((zg >> 1) ^ -(zg & 1))
         return tuple.__new__(Segment, (x_i, x_last, beta, gamma, y_i, y_last))  # Segment's field order, unchecked
 
     def predict(self, x, probes=None):
@@ -529,12 +526,12 @@ class PlaContainer:
     # -- size accounting and serialization -----------------------------------
 
     def components(self) -> dict:
-        """The six components by name, in serialized order."""
-        return {"x": self.x, "y": self.y_ef, "b": self.b_bits, "p": self.p_ef,
-                "delta_beta": self.d_beta, "delta_gamma": self.d_gamma}
+        """The five components by name, in serialized order."""
+        return {"x": self.x, "y": self.y_ef, "b": self.b_bits, "delta_beta": self.d_beta, "delta_gamma": self.d_gamma}
 
     def size_bits(self) -> BitBudget:
-        """Exact per-component bit accounting of the serialized container."""
+        """Exact per-component bit accounting of the serialized container,
+        and the bits of the B offsets that load keeps in memory, apart."""
         budget = BitBudget(setting=self.SETTING, mode=self.mode)
         c = budget.components
         c["header"] = ENVELOPE_BYTES * 8 + 32 * N_COMPONENTS
@@ -544,9 +541,11 @@ class PlaContainer:
             budget.padding_bits += part.padding_bits()
             aux += part.aux_bits()
         if self.GAMMA_LAST:
-            c["delta_gamma"] -= self.w_delta
-            c["gamma_last"] = self.w_delta
+            last = self.d_gamma.last_digit_bits()
+            c["delta_gamma"] -= last
+            c["gamma_last"] = last
         c["aux"] = aux
+        budget.in_memory["p_samples"] = self.p_ef.memory_bits()
         return budget
 
     def _stores_x_length(self):
@@ -563,7 +562,7 @@ class PlaContainer:
     def from_parts(cls, mode, header, parts):
         """The container from its envelope and its component payloads;
         FormatError if a payload is longer than what it holds."""
-        n, u, ell, epsilon, epsilon_eff, w_delta = header
+        n, u, ell, epsilon, epsilon_eff, _ = header
         xr, yr = cls.axis_rules(n, u, epsilon)
         if mode == MODE_EF:
             x, x_end = EliasFano.from_bytes_raw(parts[0], 0, ell - xr.skip, xr.universe(ell))
@@ -574,11 +573,11 @@ class PlaContainer:
             x, x_end = RankSelectIndex.from_bytes_raw(parts[0], 0, max(0, xr.end - xr.skip), ell - xr.skip)
         y_ef, y_end = EliasFano.from_bytes_raw(parts[1], 0, ell - yr.skip, yr.universe(ell))
         store = cls(mode, header, x, y_ef)
-        store.p_ef, p_end = FieldOffsets.from_bytes_raw(parts[3], ell, *store.field_coords(), store.value_axis.whole)
+        store.p_ef = FieldOffsets.from_axis(ell, *store.field_coords(), store.value_axis.whole)
         store.b_bits, b_end = BitVector.from_bytes_raw(parts[2], 0, store.p_ef.total)
-        store.d_beta, db_end = PackedIntArray.from_bytes_raw(parts[4], 0, ell, w_delta)
-        store.d_gamma, dg_end = PackedIntArray.from_bytes_raw(parts[5], 0, ell, w_delta)
-        for name, part, end in zip(store.components(), parts, (x_end, y_end, b_end, p_end, db_end, dg_end)):
+        store.d_beta, db_end = MixedRadixArray.from_bytes_raw(parts[3], 0, ell, 2 * epsilon_eff + 1)
+        store.d_gamma, dg_end = MixedRadixArray.from_bytes_raw(parts[4], 0, ell, 2 * epsilon_eff + 1)
+        for name, part, end in zip(store.components(), parts, (x_end, y_end, b_end, db_end, dg_end)):
             if end != len(part):
                 raise FormatError(f"component {name} holds {end} bytes but its payload has {len(part)}")
         return store

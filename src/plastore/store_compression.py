@@ -47,6 +47,8 @@ class CompressedPlaC(PlaContainer):
                       list(map(ne, map(sub, fx[1:], lx), repeat(1))))])
         if lx[-1] != n or ly[-1] != u:
             raise ValueError("last segment must end at position n / value u")
+        if fx[-1] > lx[-1]:
+            raise ValueError("last segment must start at or before its end")
 
     def range_error(self, x):
         return f"position {x} out of range [1, {self.n}]"

@@ -7,7 +7,8 @@ so both axes shift their first coordinates by 2e - 1 per segment; the
 shifts use the construction error e, the delta widths the verified
 post-rounding error.  The last entry of delta_gamma, gamma_l against n
 (the last key's position, which gamma_l predicts exactly), is reported
-as its own `gamma_last` component.  The layout is in container.py.
+as its own `gamma_last` component: the bits its digit adds to the last
+mixed-radix group.  The layout is in container.py.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class CompressedPlaI(PlaContainer):
                       list(map(ne, map(sub, fy[1:], ly), repeat(1))))])
         if fy[0] != 1 or ly[-1] != n or lx[-1] != u:
             raise ValueError("segments must cover positions 1..n and end at key u")
+        if fx[-1] > lx[-1] or fy[-1] > ly[-1]:
+            raise ValueError("last segment must start at or before its end")
 
     def range_error(self, x):
         if x > self.u:

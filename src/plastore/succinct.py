@@ -1,6 +1,6 @@
 """Bit-level building blocks: plain bitvectors with rank/select support,
-fixed-width packed integer arrays, and Elias-Fano encoding of monotone
-integer sequences.
+fixed-width packed integer arrays, arrays of digits packed in mixed radix,
+and Elias-Fano encoding of monotone integer sequences.
 
 Conventions used throughout the package:
 
@@ -65,7 +65,7 @@ from .errors import FormatError
 WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
 
-# Directory parameters are fixed by the serialization format (version 2):
+# Directory parameters are fixed by the serialization format (version 3):
 # one cumulative rank count per 512-bit block, one sampled position per
 # 512 one-bits (the first of which is not stored).
 RANK_BLOCK_BITS = 512
@@ -512,6 +512,92 @@ class PackedIntArray(Stored):
     def from_bytes_raw(cls, data, off: int, count: int, width: int):
         bits, off = BitVector.from_bytes_raw(data, off, count * width)
         return cls(width, count, bits), off
+
+
+class MixedRadixArray(Stored):
+    """Immutable array of `count` digits below `radix`, packed K to a
+    group: group q is the integer sum of digit qK + j times radix^j for
+    j < K, in (radix^K - 1).bit_length() bits, and a short last group of
+    r digits takes (radix^r - 1).bit_length() bits.  K is the largest
+    k >= 1 with radix^k <= 2^64 (1 for radix 1), so every group fits a
+    uint64 and encode forms each exactly; K = 1 lays the digits down in
+    bit_length(radix - 1) bits each, like a PackedIntArray.  A digit is
+    one read of its group and (group // radix^j) % radix.
+
+    Load does not read the groups.  `group` refuses one at or above
+    radix^K (radix^r for the last group) with FormatError, so every read
+    checks the group it reads.
+    """
+
+    __slots__ = ("radix", "count", "powers", "per_group", "last", "width", "limit", "last_width", "last_limit",
+                 "bits")
+
+    def __init__(self, radix: int, count: int, bits: BitVector = None):
+        self.radix = radix
+        self.count = count
+        self.powers = powers = [1, radix]  # radix^0 .. radix^K
+        while 1 < radix and powers[-1] * radix <= 1 << 64:
+            powers.append(powers[-1] * radix)
+        self.per_group = k = len(powers) - 1
+        self.last = max(0, -(-count // k) - 1)  # the last group's index
+        self.limit = powers[k]
+        self.width = (powers[k] - 1).bit_length()
+        self.last_limit = powers[count - self.last * k] if count else 1
+        self.last_width = (self.last_limit - 1).bit_length()
+        self.bits = bits
+
+    @classmethod
+    def from_digits(cls, digits, radix: int) -> "MixedRadixArray":
+        """`digits`, a uint64 array of values below `radix` (the caller
+        checks that), packed into groups by one matrix product with the
+        powers of the radix, exact in uint64 since every group is below
+        2^64, and one pack_fields."""
+        arr = cls(radix, len(digits))
+        k = arr.per_group
+        ngroups = arr.last + 1 if len(digits) else 0
+        if k > 1:
+            padded = np.zeros(ngroups * k, dtype=np.uint64)
+            padded[:len(digits)] = digits
+            digits = padded.reshape(ngroups, k) @ np.array(arr.powers[:k], dtype=np.uint64)
+        widths = np.full(ngroups, arr.width, dtype=np.int64)
+        widths[-1:] = arr.last_width
+        arr.bits = BitVector(*pack_fields(digits, widths))
+        return arr
+
+    def group(self, q: int) -> int:
+        """Group q, 0 <= q <= last; FormatError if it is at or above the
+        power of the radix its digits can reach."""
+        if q < self.last:
+            width, limit = self.width, self.limit
+        else:
+            width, limit = self.last_width, self.last_limit
+        g = self.bits.read_field(q * self.width, width)
+        if g >= limit:
+            raise FormatError(f"mixed-radix group {q} holds {g}, at or above {limit}, "
+                              f"the radix {self.radix} to the power of its digit count")
+        return g
+
+    def get(self, i: int) -> int:
+        if not 0 <= i < self.count:
+            raise IndexError(f"index {i} out of range [0, {self.count})")
+        q, j = divmod(i, self.per_group)
+        return self.group(q) // self.powers[j] % self.radix
+
+    def last_digit_bits(self) -> int:
+        """The bits the last digit adds to its group: the last group's
+        width less the width it would take without that digit."""
+        if not self.count:
+            return 0
+        return self.last_width - (self.last_limit // self.radix - 1).bit_length()
+
+    def _parts(self):
+        return (self.bits,), ()
+
+    @classmethod
+    def from_bytes_raw(cls, data, off: int, count: int, radix: int):
+        arr = cls(radix, count)
+        arr.bits, off = BitVector.from_bytes_raw(data, off, arr.last * arr.width + arr.last_width)
+        return arr, off
 
 
 class EliasFano(Stored):

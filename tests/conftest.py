@@ -159,3 +159,16 @@ def reference_from_ones(length, one_positions):
             raise ValueError(f"bit position {p} out of range [0, {length})")
         words[p >> 6] |= 1 << (p & 63)
     return words
+
+
+def mixed_radix_bits(count: int, radix: int) -> int:
+    """Bits of `count` digits below `radix` packed as format version 3
+    packs the anchor deltas: K to a group in (radix^K - 1).bit_length()
+    bits, for the largest K >= 1 with radix^K <= 2^64 (1 for radix 1),
+    and a short last group of r digits in (radix^r - 1).bit_length()
+    bits."""
+    k = 1
+    while 1 < radix and radix ** (k + 1) <= 1 << 64:
+        k += 1
+    full, r = divmod(count, k)
+    return full * (radix ** k - 1).bit_length() + (radix ** r - 1).bit_length()

@@ -20,7 +20,7 @@ import sys
 from plastore.cli import main
 from plastore.container import ENVELOPE_BYTES, N_COMPONENTS
 
-GOLDEN_SHA256 = "243b4ea7b67f4a051726ced66e2a94b180c2a9ce1ec19cfda9ed565e7498b28c"
+GOLDEN_SHA256 = "cbf2bb566408fbf4f1910734d4ad09a045255950145f69ad5f4d6b32ac0b0819"
 
 EPSILONS = (1, 4, 16)
 

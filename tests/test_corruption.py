@@ -1,20 +1,19 @@
 """Corrupted containers: seeded truncations and bit flips of one
 3000-key container per setting and mode, flipped Elias-Fano and rs select
-samples, flipped P samples, forged rank block counts, padded component
-payloads, forged header fields, and fuzzed mutations of small
-containers.  Loading is
-refused with an error that the CLI reports as one `error:` line
-(FormatError is a ValueError), never with a struct.error traceback."""
+samples, flipped mixed-radix delta groups, forged rank block counts,
+padded component payloads, forged header fields, and fuzzed mutations of
+small containers.  Loading, or reading what a flip forged, is refused
+with an error that the CLI reports as one `error:` line (FormatError is a
+ValueError), never with a struct.error traceback."""
 
 import random
 import struct
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, FormatError, PointSeq, build_optimal_pla, succinct
-from plastore.container import ENVELOPE_BYTES, ENVELOPE_FMT, N_COMPONENTS, pack_components, unpack_components
+from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, FormatError, Pla, PointSeq, build_optimal_pla
+from plastore.container import ENVELOPE_BYTES, ENVELOPE_FMT, N_COMPONENTS, pack_components, unpack_components, zigzag
 from plastore.store_compression import CompressedPlaC, encode_c
 from plastore.store_indexing import CompressedPlaI, encode_i
 from plastore.succinct import RANK_BLOCK_BITS, SELECT_SAMPLE_RATE
@@ -76,9 +75,9 @@ def test_stats_on_a_flipped_universe_is_one_error_line(setting, tmp_path):
 def test_flipped_bits_load_or_raise_format_error(setting, mode):
     # a directory or bitvector that holds fewer ones than the header
     # promises is refused at load, not left to a scan that runs off the
-    # end; so is a flipped P sample, which load checks against the B
-    # offsets it rebuilds from the coordinates; a flipped rank block count
-    # that ranks a key outside the segments is refused at predict.  Only
+    # end; a delta group lifted past the power of the radix its digits can
+    # reach, and a flipped rank block count that ranks a key outside the
+    # segments, are refused at decode and predict.  Only
     # keys the loaded container covers are queried, so any other error
     # is a fault.
     cls = CODECS[setting][1]
@@ -150,27 +149,66 @@ def test_flipped_rs_select_sample_refused(setting):
             CODECS[setting][1].from_bytes(bytes(bad))
 
 
+def delta_groups(deltas, radix):
+    """(value, bit width, radix^digits) of each group of the zig-zag
+    codes of `deltas`, K digits to a group for the largest K with
+    radix^K <= 2^64, summed in Python integers."""
+    k = 1
+    while radix ** (k + 1) <= 1 << 64:
+        k += 1
+    out = []
+    for q in range(0, len(deltas), k):
+        digits = [zigzag(d) for d in deltas[q:q + k]]
+        limit = radix ** len(digits)
+        out.append((sum(c * radix ** j for j, c in enumerate(digits)), (limit - 1).bit_length(), limit))
+    return out, k
+
+
 @pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
 @pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
-def test_flipped_p_sample_refused(setting, mode):
-    # every bit of every stored P sample: load rebuilds each B offset from
-    # the value-axis coordinates and refuses a sample that differs, on both
-    # sides of the Elias-Fano kernel's size selection (the rs value axis of
-    # indexing is read by select_run on both)
+def test_flipped_delta_group_refused(setting, mode):
+    # every bit of delta_gamma (the last payload), whose groups all sit at
+    # the top of their range: every gamma is epsilon_eff above its point,
+    # so each digit is radix - 1 and each group radix^digits - 1, which
+    # 2^width exceeds.  Load reads no group, so every flip loads; a flip
+    # that lifts a group to radix^digits or more is refused by decode and
+    # by predict in that group, and any other flip decodes or raises only
+    # FormatError
     cls = CODECS[setting][1]
-    data = container(setting, mode, n=300, epsilon=1)
-    p = cls.from_bytes(data).p_ef
-    assert len(p.samples) >= 4
+    points = sequence(setting, 300)
+    built = build_optimal_pla(points, 1)
+    eff = built.epsilon_eff
+    pla = Pla([s._replace(final_y=s.last_y + eff) for s in built.segments], built.epsilon, eff, setting)
+    data = CODECS[setting][0](pla, points, mode).to_bytes()
+    groups, k = delta_groups([s.final_y - s.last_y for s in pla.segments], 2 * pla.epsilon_eff + 1)
+    assert len(groups) >= 2 and all(2 ** width > limit for _, width, limit in groups)
     off = ENVELOPE_BYTES
-    for _ in range(3):  # skip X, Y and B
+    for _ in range(N_COMPONENTS - 1):
         off += 4 + struct.unpack_from("<I", data, off)[0]
-    for kernel_min in (1, 1 << 40):
-        with patch.object(succinct, "_KERNEL_MIN_VALUES", kernel_min):
-            for bit in range(8 * (off + 4), 8 * (off + 4) + len(p.samples) * p.samples.width):
-                bad = bytearray(data)
-                bad[bit >> 3] ^= 1 << (bit & 7)
-                with pytest.raises(FormatError, match="P sample"):
-                    cls.from_bytes(bytes(bad))
+    assert 8 * (len(data) - off - 4) == -(-sum(w for _, w, _ in groups) // 64) * 64
+    refused = 0
+    for bit in range(8 * (off + 4), 8 * len(data)):
+        bad = bytearray(data)
+        bad[bit >> 3] ^= 1 << (bit & 7)
+        store = cls.from_bytes(bytes(bad))
+        at = bit - 8 * (off + 4)
+        q, start = 0, 0
+        while q < len(groups) and at >= start + groups[q][1]:
+            start += groups[q][1]
+            q += 1
+        if q < len(groups) and groups[q][0] ^ (1 << (at - start)) >= groups[q][2]:
+            refused += 1
+            seg = pla.segments[q * k]
+            for read in (store.decode_all_segments, lambda: store.predict(seg.first_x),
+                         lambda: store.decode_segment(min(store.ell, q * k + k))):
+                with pytest.raises(FormatError, match="mixed-radix group"):
+                    read()
+            continue
+        try:
+            store.decode_all_segments()
+        except FormatError:
+            pass
+    assert refused >= len(groups)
 
 
 @pytest.mark.parametrize("component", range(N_COMPONENTS))

@@ -1,5 +1,6 @@
-"""The sampled B-field offsets (component P) and the trimmed select
-directories of format version 2."""
+"""The sampled B-field offsets, rebuilt at load and kept in memory, the
+mixed-radix anchor deltas, and the trimmed select directories of the
+container format."""
 
 import random
 import struct
@@ -19,7 +20,7 @@ from plastore import (
     encode_c,
     encode_i,
 )
-from plastore.container import OFFSET_SAMPLE_RATE
+from plastore.container import FORMAT_VERSION, OFFSET_SAMPLE_RATE
 from plastore.store_compression import CompressedPlaC
 from plastore.store_indexing import CompressedPlaI
 from plastore.succinct import SELECT_SAMPLE_RATE, BitVector, EliasFano, RankSelectIndex
@@ -113,15 +114,20 @@ def test_offset_walk_probe_count(setting):
 
 
 def test_gamma_last_is_a_delta_against_n():
+    # epsilon_eff 1: radix 3, 40 deltas to a group, so the K + 2 deltas of
+    # delta_gamma form one group, and gamma_l is its last digit
     rng = random.Random(3)
-    pla, points = indexing_case(K + 2, rng)
+    ell = K + 2
+    pla, points = indexing_case(ell, rng)
     last = pla.segments[-1]
     for final_y in (last.last_y - 1, last.last_y, last.last_y + 1):
         segs = pla.segments[:-1] + [Segment(last.first_x, last.last_x, last.intercept, final_y,
                                             last.first_y, last.last_y)]
         moved = Pla(segs, epsilon=1, epsilon_eff=1, setting=INDEXING)
         store = encode_i(moved, points)
-        assert store.size_bits().components["gamma_last"] == store.w_delta == 2
+        budget = store.size_bits()
+        assert budget.components["gamma_last"] == (3 ** ell - 1).bit_length() - (3 ** (ell - 1) - 1).bit_length() == 1
+        assert budget.components["delta_gamma"] + budget.components["gamma_last"] == (3 ** ell - 1).bit_length()
         assert CompressedPlaI.from_bytes(store.to_bytes()).decode_all_segments() == segs
     far = pla.segments[:-1] + [Segment(last.first_x, last.last_x, last.intercept, last.last_y + 2,
                                        last.first_y, last.last_y)]
@@ -129,15 +135,25 @@ def test_gamma_last_is_a_delta_against_n():
         encode_i(Pla(far, epsilon=1, epsilon_eff=1, setting=INDEXING), points)
 
 
-@pytest.mark.parametrize("cls,setting", ((CompressedPlaC, COMPRESSION), (CompressedPlaI, INDEXING)))
-def test_version_1_refused(cls, setting):
+def refused_as_version(cls, setting, version):
     make, encode, _, _, _ = CASES[setting]
     pla, points = make(K + 1, random.Random(5))
     data = bytearray(encode(pla, points).to_bytes())
-    assert data[4] == 2
-    data[4] = 1
-    with pytest.raises(FormatError, match="unsupported format version 1"):
+    assert data[4] == FORMAT_VERSION == 3
+    data[4] = version
+    with pytest.raises(FormatError, match=f"unsupported format version {version}"):
         cls.from_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("cls,setting", ((CompressedPlaC, COMPRESSION), (CompressedPlaI, INDEXING)))
+def test_version_1_refused(cls, setting):
+    refused_as_version(cls, setting, 1)
+
+
+@pytest.mark.parametrize("cls,setting", ((CompressedPlaC, COMPRESSION), (CompressedPlaI, INDEXING)))
+def test_version_2_refused(cls, setting):
+    # version 2 stored the sampled B offsets as a sixth component
+    refused_as_version(cls, setting, 2)
 
 
 @pytest.mark.parametrize("n", (1, 2, SELECT_SAMPLE_RATE - 1, SELECT_SAMPLE_RATE, SELECT_SAMPLE_RATE + 1,

@@ -36,6 +36,21 @@ GOLDEN = {
             (INDEXING, MODE_RS): (8521, 0),
         },
     },
+    3: {
+        "sha256": {
+            (COMPRESSION, MODE_EF): "5b1c29e6cbd5e9b8a38b4634750a785802641a0391c7e59140f03e7581e8a330",
+            (COMPRESSION, MODE_RS): "0fb8320f46481556fba4e5007d83c844138ce4d97d37e580956c8d333fd269ec",
+            (INDEXING, MODE_EF): "27881d8f5e20d08fa3656a99f1795c0c3434f3b8b90e2006364b12829fcaf682",
+            (INDEXING, MODE_RS): "037d35b0b6b479771d2e17617cc89bb9e91af1632971bf3cca66cc53725eb793",
+        },
+        # (primitives, search_steps)
+        "probes": {
+            (COMPRESSION, MODE_EF): (11373, 2240),
+            (COMPRESSION, MODE_RS): (10133, 0),
+            (INDEXING, MODE_EF): (9793, 2272),
+            (INDEXING, MODE_RS): (8521, 0),
+        },
+    },
 }
 
 PROBE_INSTANCES = 20

@@ -61,6 +61,9 @@ def compression_case(name):
         segs[-1] = segs[-1]._replace(last_x=points.n - 1)
     elif name == "last-and-anchor":
         segs[-1] = segs[-1]._replace(last_x=points.n + 1, final_y=segs[-1].final_y + 10**6)
+    elif name == "last-start":  # every pair is valid, but the last segment starts past n
+        segs[-2] = segs[-2]._replace(last_x=points.n)
+        segs[-1] = segs[-1]._replace(first_x=points.n + 1)
     return segs
 
 
@@ -88,6 +91,11 @@ def indexing_case(name):
         segs[2] = segs[2]._replace(last_y=segs[2].first_y)
     elif name == "ends-and-anchor":
         segs[0] = segs[0]._replace(first_y=0, intercept=segs[0].intercept - 10**6)
+    elif name == "last-start-key":  # the last segment starts past u; rs mode once stored it
+        segs[-1] = segs[-1]._replace(first_x=points.values[-1] + 1)
+    elif name == "last-start-position":
+        segs[-2] = segs[-2]._replace(last_y=points.n)
+        segs[-1] = segs[-1]._replace(first_y=points.n + 1)
     return segs
 
 
@@ -100,6 +108,7 @@ COMPRESSION_MESSAGES = {
     "cover-and-partition": "non-final segments must cover at least 2 positions",
     "first-and-last": "first segment must start at position 1",
     "last-and-anchor": "last segment must end at position n / value u",
+    "last-start": "last segment must start at or before its end",
 }
 
 INDEXING_MESSAGES = {
@@ -111,6 +120,8 @@ INDEXING_MESSAGES = {
     "partition-before-span": "segments must partition the position axis",
     "cover-before-ends": "non-final segments must cover at least 2*epsilon points",
     "ends-and-anchor": "segments must cover positions 1..n and end at key u",
+    "last-start-key": "last segment must start at or before its end",
+    "last-start-position": "last segment must start at or before its end",
 }
 
 

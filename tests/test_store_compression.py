@@ -18,6 +18,8 @@ from plastore import (
 )
 from plastore.store_compression import CompressedPlaC
 
+from conftest import mixed_radix_bits
+
 
 def build_store(values, eps, mode=MODE_EF):
     points = PointSeq(values, setting=COMPRESSION)
@@ -180,8 +182,8 @@ class TestSizeAndSerialization:
     def test_delta_bits_exact(self):
         pla, points, store = build_store(sorted(random.Random(1).sample(range(1, 5000), 400)), 1)
         budget = store.size_bits()
-        assert budget.components["delta_beta"] == store.ell * store.w_delta
-        assert budget.components["delta_gamma"] == store.ell * store.w_delta
+        bits = mixed_radix_bits(store.ell, 2 * store.epsilon_eff + 1)
+        assert budget.components["delta_beta"] == budget.components["delta_gamma"] == bits
 
     def test_b_bits_exact(self):
         pla, points, store = build_store(sorted(random.Random(2).sample(range(1, 5000), 400)), 1)

@@ -20,6 +20,8 @@ from plastore import (
 from plastore.store_indexing import CompressedPlaI
 from plastore.succinct import RankSelectIndex
 
+from conftest import mixed_radix_bits
+
 
 def build_store(values, eps, mode=MODE_EF):
     points = PointSeq(values, setting=INDEXING)
@@ -218,9 +220,11 @@ class TestSizeAndSerialization:
         values = sorted(rng.sample(range(1, 30000), 1500))
         pla, points, store = build_store(values, 2)
         budget = store.size_bits()
-        assert budget.components["delta_beta"] == store.ell * store.w_delta
-        assert budget.components["delta_gamma"] == (store.ell - 1) * store.w_delta
-        assert budget.components["gamma_last"] == store.w_delta
+        radix = 2 * store.epsilon_eff + 1
+        assert budget.components["delta_beta"] == mixed_radix_bits(store.ell, radix)
+        assert budget.components["delta_gamma"] == mixed_radix_bits(store.ell - 1, radix)
+        assert budget.components["gamma_last"] == (mixed_radix_bits(store.ell, radix)
+                                                   - mixed_radix_bits(store.ell - 1, radix))
         firsts_x = [s.first_x for s in pla.segments]
         expect_b = sum((b - a - 2).bit_length() for a, b in zip(firsts_x, firsts_x[1:]))
         assert budget.components["b"] == expect_b

@@ -1,6 +1,7 @@
-"""The numpy bit-packing writer (succinct.pack_fields) and the directory
-builder over one-bit positions (RankSelectIndex.from_ones) against the
-Python loops they replace (tests/conftest.py), the word serializer
+"""The numpy bit-packing writer (succinct.pack_fields), the mixed-radix
+groups of the anchor deltas (succinct.MixedRadixArray) and the directory
+builder over one-bit positions (RankSelectIndex.from_ones) against
+Python references (tests/conftest.py and below), the word serializer
 (succinct.write_words) against struct.pack, and the encode-side limits
 of the 64-bit writer."""
 
@@ -12,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_from_fields, reference_from_ones
+from conftest import mixed_radix_bits, reference_from_fields, reference_from_ones
 from plastore import (COMPRESSION, INDEXING, MODE_EF, MODE_RS, Pla, PointSeq, Segment, build_optimal_pla, encode_c,
                       encode_i)
 from plastore.container import zigzag
 from plastore.store_compression import CompressedPlaC
-from plastore.succinct import (SELECT_SAMPLE_RATE, BitVector, EliasFano, PackedIntArray, RankSelectIndex,
-                               _scan_directory, pack_fields, read_words, write_words)
+from plastore.succinct import (SELECT_SAMPLE_RATE, BitVector, EliasFano, MixedRadixArray, PackedIntArray,
+                               RankSelectIndex, _scan_directory, pack_fields, read_words, write_words)
 
 ENCODE = {COMPRESSION: encode_c, INDEXING: encode_i}
 WIDTHS = st.sampled_from((0, 1, 63, 64)) | st.integers(0, 64)
@@ -66,6 +67,32 @@ def test_one_width_matches_reference(width, count, seed):
     arr = PackedIntArray.from_values(values, width)
     assert (arr.bits.words, arr.bits.nbits) == reference_from_fields([(v, width) for v in values])
     assert PackedIntArray.from_values(np.array(values, dtype=np.uint64), width).bits.words == arr.bits.words
+
+
+RADIXES = (1, 2, 3, 5, 37, 255, (1 << 32) + 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 65) + 7)
+
+
+@given(radix=st.sampled_from(RADIXES), count=st.integers(0, 130), seed=st.integers(0, 1 << 32))
+@settings(max_examples=300)
+def test_mixed_radix_matches_reference(radix, count, seed):
+    # radix 3: 40 digits to a 64-bit group; radix 2^32 + 1: one 33-bit
+    # digit; radix 2^64 and more: one digit to a 64- or 65-bit group
+    rng = random.Random(seed)
+    top = min(radix, 1 << 64) - 1
+    digits = [rng.choice((0, top, rng.randrange(top + 1))) for _ in range(count)]
+    k = 1
+    while 1 < radix and radix ** (k + 1) <= 1 << 64:
+        k += 1
+    chunks = [digits[q:q + k] for q in range(0, count, k)]
+    groups = [(sum(d * radix ** j for j, d in enumerate(c)), (radix ** len(c) - 1).bit_length()) for c in chunks]
+    arr = MixedRadixArray.from_digits(np.array(digits, dtype=np.uint64), radix)
+    assert (arr.bits.words, arr.bits.nbits) == reference_from_fields(groups)
+    assert arr.payload_bits() == mixed_radix_bits(count, radix)
+    loaded, off = MixedRadixArray.from_bytes_raw(arr.to_bytes_raw(), 0, count, radix)
+    assert off == 8 * len(arr.bits.words)
+    assert [loaded.get(i) for i in range(count)] == digits
+    if count:
+        assert arr.last_digit_bits() == mixed_radix_bits(count, radix) - mixed_radix_bits(count - 1, radix)
 
 
 def refusal(write, fields):
