@@ -161,14 +161,23 @@ def reference_from_ones(length, one_positions):
     return words
 
 
-def mixed_radix_bits(count: int, radix: int) -> int:
-    """Bits of `count` digits below `radix` packed as format version 3
-    packs the anchor deltas: K to a group in (radix^K - 1).bit_length()
-    bits, for the largest K >= 1 with radix^K <= 2^64 (1 for radix 1),
-    and a short last group of r digits in (radix^r - 1).bit_length()
-    bits."""
+def mixed_radix_groups(digits, radix: int):
+    """(K, [(value, bit width, radix^digits) of each group]) of `digits`
+    packed as format version 3 packs the anchor deltas: K to a group,
+    for the largest K >= 1 with radix^K <= 2^64 (1 for radix 1), each
+    group the sum of digit j times radix^j in (radix^digits - 1).bit_length()
+    bits, summed in Python integers."""
     k = 1
     while 1 < radix and radix ** (k + 1) <= 1 << 64:
         k += 1
-    full, r = divmod(count, k)
-    return full * (radix ** k - 1).bit_length() + (radix ** r - 1).bit_length()
+    groups = []
+    for q in range(0, len(digits), k):
+        chunk = digits[q:q + k]
+        limit = radix ** len(chunk)
+        groups.append((sum(d * radix ** j for j, d in enumerate(chunk)), (limit - 1).bit_length(), limit))
+    return k, groups
+
+
+def mixed_radix_bits(count: int, radix: int) -> int:
+    """Bits of `count` digits below `radix` in mixed_radix_groups."""
+    return sum(width for _, width, _ in mixed_radix_groups([0] * count, radix)[1])

@@ -17,6 +17,7 @@ from plastore.container import ENVELOPE_BYTES, ENVELOPE_FMT, N_COMPONENTS, pack_
 from plastore.store_compression import CompressedPlaC, encode_c
 from plastore.store_indexing import CompressedPlaI, encode_i
 from plastore.succinct import RANK_BLOCK_BITS, SELECT_SAMPLE_RATE
+from conftest import mixed_radix_groups
 from test_cli import run_cli
 
 CODECS = {COMPRESSION: (encode_c, CompressedPlaC), INDEXING: (encode_i, CompressedPlaI)}
@@ -149,21 +150,6 @@ def test_flipped_rs_select_sample_refused(setting):
             CODECS[setting][1].from_bytes(bytes(bad))
 
 
-def delta_groups(deltas, radix):
-    """(value, bit width, radix^digits) of each group of the zig-zag
-    codes of `deltas`, K digits to a group for the largest K with
-    radix^K <= 2^64, summed in Python integers."""
-    k = 1
-    while radix ** (k + 1) <= 1 << 64:
-        k += 1
-    out = []
-    for q in range(0, len(deltas), k):
-        digits = [zigzag(d) for d in deltas[q:q + k]]
-        limit = radix ** len(digits)
-        out.append((sum(c * radix ** j for j, c in enumerate(digits)), (limit - 1).bit_length(), limit))
-    return out, k
-
-
 @pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
 @pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
 def test_flipped_delta_group_refused(setting, mode):
@@ -180,7 +166,7 @@ def test_flipped_delta_group_refused(setting, mode):
     eff = built.epsilon_eff
     pla = Pla([s._replace(final_y=s.last_y + eff) for s in built.segments], built.epsilon, eff, setting)
     data = CODECS[setting][0](pla, points, mode).to_bytes()
-    groups, k = delta_groups([s.final_y - s.last_y for s in pla.segments], 2 * pla.epsilon_eff + 1)
+    k, groups = mixed_radix_groups([zigzag(s.final_y - s.last_y) for s in pla.segments], 2 * eff + 1)
     assert len(groups) >= 2 and all(2 ** width > limit for _, width, limit in groups)
     off = ENVELOPE_BYTES
     for _ in range(N_COMPONENTS - 1):

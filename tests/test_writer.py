@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mixed_radix_bits, reference_from_fields, reference_from_ones
+from conftest import mixed_radix_bits, mixed_radix_groups, reference_from_fields, reference_from_ones
 from plastore import (COMPRESSION, INDEXING, MODE_EF, MODE_RS, Pla, PointSeq, Segment, build_optimal_pla, encode_c,
                       encode_i)
 from plastore.container import zigzag
@@ -80,11 +80,7 @@ def test_mixed_radix_matches_reference(radix, count, seed):
     rng = random.Random(seed)
     top = min(radix, 1 << 64) - 1
     digits = [rng.choice((0, top, rng.randrange(top + 1))) for _ in range(count)]
-    k = 1
-    while 1 < radix and radix ** (k + 1) <= 1 << 64:
-        k += 1
-    chunks = [digits[q:q + k] for q in range(0, count, k)]
-    groups = [(sum(d * radix ** j for j, d in enumerate(c)), (radix ** len(c) - 1).bit_length()) for c in chunks]
+    groups = [(value, width) for value, width, _ in mixed_radix_groups(digits, radix)[1]]
     arr = MixedRadixArray.from_digits(np.array(digits, dtype=np.uint64), radix)
     assert (arr.bits.words, arr.bits.nbits) == reference_from_fields(groups)
     assert arr.payload_bits() == mixed_radix_bits(count, radix)
