@@ -268,6 +268,10 @@ def pack_components(payloads) -> bytes:
 
 
 def unpack_components(data, off: int, count: int):
+    """The `count` component payloads of `data` from byte `off` on, as
+    memoryviews into `data`: load reads the words in place, without a copy
+    of a universe-sized `rs` payload."""
+    view = memoryview(data)
     parts = []
     for _ in range(count):
         if off + 4 > len(data):
@@ -276,7 +280,7 @@ def unpack_components(data, off: int, count: int):
         off += 4
         if off + ln > len(data):
             raise FormatError("container truncated: component payload missing")
-        parts.append(bytes(data[off : off + ln]))
+        parts.append(view[off : off + ln])
         off += ln
     if off != len(data):
         raise FormatError(f"{len(data) - off} trailing bytes after last component")

@@ -16,21 +16,22 @@ from the same list: ``payload_bits`` and ``padding_bits`` from the
 bitvectors, ``aux_bits`` from the tables.  The raw form omits every
 length derivable from context: the container header supplies the lengths
 back to ``from_bytes_raw``, which reads every word array through one
-checked reader (``read_words``) and raises FormatError when the payload
-is too short.
+checked reader (``read_words``, or ``_load_bits`` for a vector with a
+directory) and raises FormatError when the payload is too short.
 
 One directory type, ``RankSelectIndex``, serves every bitvector that is
 ranked or selected.  Its rank block counts and select samples are always
 in memory; its owner chooses which are stored.  The rs X bitvector
-stores both, and load does not rebuild them, since rescanning a
-universe-sized vector costs more than the rest of the load: it ranks
-each stored select sample once against the stored block counts, and
-trusts those counts.  Elias-Fano high bits store
-only the select samples after the first, and load rebuilds the whole
-directory from the high bits and checks it against them.  The
-Elias-Fano predecessor search (``EliasFano.count_at_most``) bisects
-those rebuilt rank block counts, so it reads no table that load did not
-check.
+stores both, Elias-Fano high bits only the select samples after the
+first.  Load rebuilds every directory from the words (``_load_bits``)
+and refuses a payload whose stored tables differ from the rebuilt ones,
+so no query reads a table that load did not check.  A vector of
+_NUMPY_MIN words or more is loaded in one numpy pass over a view of its
+bytes: the popcount of every word gives the block counts, the count of
+ones and the words that hold the select samples; a shorter one is read
+by ``read_words`` and scanned word by word (``_scan_directory``).  The
+Elias-Fano predecessor search (``EliasFano.count_at_most``) bisects the
+rank block counts.
 
 Encode writes every bitvector through one numpy path in uint64, so any
 value below 2^64: ``pack_fields`` lays down (value, width) fields from
@@ -38,11 +39,11 @@ their prefix-sum offsets, ORing each into its word and the next with one
 ``bitwise_or.reduceat``, and ``RankSelectIndex.from_ones`` builds a
 vector and its whole directory from the sorted one-bit positions, the
 block counts by ``searchsorted`` and the samples every
-SELECT_SAMPLE_RATE-th position, without a scan of the words (load
-rebuilds an Elias-Fano directory by that scan, ``_scan_directory``).
-The words stay lists of Python ints for the queries; from_ones writes
-only the words that hold a one into a list of zeros, and ``write_words``
-serializes words and tables through array.array.
+SELECT_SAMPLE_RATE-th position, without a scan of the words.  The words
+stay lists of Python ints for the queries.  Encode writes only the words
+that hold a one into a list of zeros, and so does load when few words
+hold one; ``write_words`` serializes words and tables through
+array.array.
 
 A whole Elias-Fano sequence is decoded either by ``select_run`` in Python
 integers, or by one numpy int64 kernel (``EliasFano.values_array``) when
@@ -72,21 +73,43 @@ RANK_BLOCK_BITS = 512
 SELECT_SAMPLE_RATE = 512
 _BLOCK_WORDS = RANK_BLOCK_BITS // WORD_BITS
 
-# The numpy kernel decodes a whole Elias-Fano sequence of at least
-# _KERNEL_MIN_VALUES values (below, select_run is faster) over a universe
-# of at most _KERNEL_UNIVERSE, which keeps every value it forms, and every
-# difference of two, below 2^62 in magnitude.
-_KERNEL_MIN_VALUES = 80
+# The one guard between the numpy paths and the Python loops they
+# replace, which are faster on short inputs: the numpy kernel decodes a
+# whole Elias-Fano sequence of at least _NUMPY_MIN values (select_run a
+# shorter one), read_words converts at least _NUMPY_MIN words through
+# numpy, and load reads a ranked or selected vector of at least
+# _NUMPY_MIN words in one numpy pass (_load_bits; read_words and
+# _scan_directory read a shorter one).  Measured crossovers on a 2-core
+# VM: ~50 values, ~80 words and ~150 words.  The kernel also needs a
+# universe of at most _KERNEL_UNIVERSE, which keeps every value it
+# forms, and every difference of two, below 2^62 in magnitude.
+_NUMPY_MIN = 80
 _KERNEL_UNIVERSE = 1 << 60
+# Load writes the nonzero words into a list of zeros, rather than
+# converting every word, when the rank blocks that hold a one-bit span
+# fewer than one word in _SPARSE_WORDS: writing a word costs about as
+# much as converting that many.
+_SPARSE_WORDS = 8
+
+
+def _words_end(data, off: int, count: int, code: str) -> int:
+    """The byte offset after `count` words ("Q": u64, "I": u32) of `data`
+    from byte `off` on; FormatError if `data` is short."""
+    end = off + count * struct.calcsize(code)
+    if end > len(data):
+        raise FormatError(f"component truncated: needs {end} bytes, has {len(data)}")
+    return end
 
 
 def read_words(data, off: int, count: int, code: str = "Q"):
     """`count` little-endian words ("Q": u64, "I": u32) of `data` from byte
-    `off` on, and the offset after them; FormatError if `data` is short."""
-    end = off + count * struct.calcsize(code)
-    if end > len(data):
-        raise FormatError(f"component truncated: needs {end} bytes, has {len(data)}")
-    return list(struct.unpack_from(f"<{count}{code}", data, off)), end
+    `off` on, as a list of ints, and the offset after them; FormatError if
+    `data` is short.  From _NUMPY_MIN words on, the list is made from a
+    numpy view of `data`, without the tuple struct.unpack_from builds."""
+    end = _words_end(data, off, count, code)
+    if count < _NUMPY_MIN:
+        return list(struct.unpack_from(f"<{count}{code}", data, off)), end
+    return np.frombuffer(data, f"<u{struct.calcsize(code)}", count, off).tolist(), end
 
 
 def write_words(values, code: str = "Q"):
@@ -318,6 +341,59 @@ def _scan_directory(bv: BitVector):
     return counts, samples, ones
 
 
+def _select_from(words, wi: int, need: int) -> int:
+    """Position of the need-th 1-bit (1-indexed) from word wi on."""
+    while True:
+        w = words[wi]
+        c = w.bit_count()
+        if need <= c:
+            return (wi << 6) + _select_in_word(w, need)
+        need -= c
+        wi += 1
+
+
+def _load_bits(data, off: int, nbits: int):
+    """(bitvector, directory, offset after its words) of the `nbits`-bit
+    vector stored from byte `off` of `data`, with the directory as
+    _scan_directory gives it; FormatError if `data` is short.  From
+    _NUMPY_MIN words on, one numpy pass over a view of the words gives
+    the popcount of every word and from them the rank block counts, the
+    count of ones and the word holding each sampled one-bit; the words
+    are converted to a list (tolist()), or, when few hold a one, only the
+    nonzero ones are written into a list of zeros, as _ones does."""
+    count = (nbits + 63) >> 6
+    if count < _NUMPY_MIN:
+        words, off = read_words(data, off, count)
+        bv = BitVector(words, nbits)
+        return bv, _scan_directory(bv), off
+    end = _words_end(data, off, count, "Q")
+    w = np.frombuffer(data, "<u8", count, off)
+    nblocks = -(-count // _BLOCK_WORDS)
+    popcounts = np.zeros(nblocks * _BLOCK_WORDS, dtype=np.uint8)
+    np.bitwise_count(w, out=popcounts[:count])
+    # a rank block's 8 popcounts are one u64, nonzero iff the block holds a one-bit
+    busy = np.flatnonzero(popcounts.view(np.uint64))
+    per_word = popcounts.reshape(nblocks, _BLOCK_WORDS)[busy]
+    del popcounts  # a byte per word, freed before the list of words is made
+    ends = np.cumsum(per_word.sum(1, dtype=np.int64))
+    ones = int(ends[-1]) if len(ends) else 0
+    # blocks busy[i - 1] + 1 through busy[i] count ends[i - 1], the ones before them
+    runs = np.diff(np.concatenate(([-1], busy, [nblocks - 1])))
+    counts = np.repeat(np.concatenate(([0], ends)), runs).tolist()
+    if len(busy) * _BLOCK_WORDS * _SPARSE_WORDS < count:
+        nonzero = (busy[:, None] * _BLOCK_WORDS + np.arange(_BLOCK_WORDS)).ravel()[per_word.ravel() != 0]
+        words = [0] * count
+        for i, v in zip(nonzero.tolist(), w[nonzero].tolist()):
+            words[i] = v
+    else:
+        words = w.tolist()
+    ks = np.arange(1, ones + 1, SELECT_SAMPLE_RATE)
+    # the k-th one-bit sits in the first busy block whose cumulative count reaches k
+    at = busy[np.searchsorted(ends, ks)].tolist()
+    samples = [_select_from(words, b * _BLOCK_WORDS, k - counts[b]) for k, b in zip(ks.tolist(), at)]
+    return BitVector(words, nbits), (counts, samples, ones), end
+
+
 class RankSelectIndex(Stored):
     """Rank and sampled select directories over a BitVector: the count of
     one-bits before each RANK_BLOCK_BITS-bit block, and the position of
@@ -325,12 +401,12 @@ class RankSelectIndex(Stored):
 
     rank1 touches one block count plus at most eight word popcounts, and
     count_at_most, the predecessor count the rs container searches X
-    with, is one rank1 that refuses a rank the block counts cannot give.
-    select1 starts from the nearest sample and scans forward by whole
-    words, however many (tens of thousands on a sparse universe-sized
-    vector); select_run scans on from there, skipping every rank block
-    without a one-bit.  Both tables are kept in memory; which of them is
-    stored is the owner's choice (`_parts`).  The first sample is the
+    with, is one rank1.  select1 starts from the nearest sample and scans
+    forward by whole words, however many (tens of thousands on a sparse
+    universe-sized vector); select_run scans on from there, skipping
+    every rank block without a one-bit.  Both tables are kept in memory;
+    which of them is stored is the owner's choice (`_parts`), and load
+    checks each stored one against the words.  The first sample is the
     first one-bit of the vector, so it is never stored.
     """
 
@@ -381,18 +457,12 @@ class RankSelectIndex(Stored):
         """How many one-bits sit at positions <= t: one rank1, which
         `probes` counts as one primitive and no search step.  Unlike
         EliasFano.count_at_most, only shift 0 is supported (ValueError
-        otherwise).  FormatError if the block counts rank past the count of
-        ones, or rank none although a one-bit comes before the position."""
+        otherwise)."""
         if shift:
             raise ValueError(f"a rank counts positions, not shifted values: shift {shift} is not 0")
         if probes is not None:
             probes.primitives += 1
-        pos = min(max(t + 1, 0), self.owner.nbits)
-        k = self.rank1(pos)
-        if k > self.total_ones or (not k and self.samples and self.samples[0] < pos):
-            raise FormatError(f"rank directory counts {k} of {self.total_ones} one-bits at positions <= {t}: "
-                              "its block counts are corrupt")
-        return k
+        return self.rank1(min(max(t + 1, 0), self.owner.nbits))
 
     def select1(self, k: int) -> int:
         """Position of the k-th 1-bit, 1-indexed."""
@@ -454,29 +524,24 @@ class RankSelectIndex(Stored):
     @classmethod
     def from_bytes_raw(cls, data, off: int, nbits: int, ones: int):
         """The directory over an `nbits`-bit vector holding `ones` one-bits,
-        with both tables as stored: the vector is not rescanned, only its
-        last block is counted, and each stored sample is ranked once.
-        FormatError if that count is not `ones`, or if the j-th sample is
-        not a one-bit that the block counts rank j*SELECT_SAMPLE_RATE."""
-        owner, off = BitVector.from_bytes_raw(data, off, nbits)
-        nblocks = (nbits + RANK_BLOCK_BITS - 1) // RANK_BLOCK_BITS
-        counts, off = read_words(data, off, nblocks, "I")
-        tail = owner.words[(nblocks - 1) * _BLOCK_WORDS:]
-        if (counts[-1] + sum(w.bit_count() for w in tail) if nblocks else 0) != ones:
+        rebuilt from the words (_load_bits) and checked against both stored
+        tables.  FormatError if the vector holds another count of ones, if
+        a stored block count differs from the ones before its block, or if
+        a stored sample differs from the position of its one-bit."""
+        owner, directory, off = _load_bits(data, off, nbits)
+        counts, samples, total = directory
+        if total != ones:
             raise _ones_error(ones)
-        samples = []
-        if ones:
-            first = next(((wi << 6) + (w & -w).bit_length() - 1 for wi, w in enumerate(owner.words) if w), None)
-            if first is None:
-                raise FormatError(f"select directory for {ones} one-bits over an all-zero bitvector")
-            samples, off = read_words(data, off, (ones - 1) // SELECT_SAMPLE_RATE, "I")
-            samples.insert(0, first)
-        rs = cls(owner, (counts, samples, ones))
-        for j, pos in enumerate(samples[1:], 1):
-            if not (pos < nbits and owner.get(pos) and rs.rank1(pos) == j * SELECT_SAMPLE_RATE):
-                raise FormatError(f"select sample {j} at {pos} is not the one-bit the block counts rank "
-                                  f"{j * SELECT_SAMPLE_RATE}")
-        return rs, off
+        stored, off = read_words(data, off, len(counts), "I")
+        if stored != counts:
+            b = next(b for b, (c, want) in enumerate(zip(stored, counts)) if c != want)
+            raise FormatError(f"rank block count {b} is {stored[b]}, but {counts[b]} one-bits precede its block")
+        stored, off = read_words(data, off, len(samples[1:]), "I")
+        if stored != samples[1:]:
+            j = next(j for j, (pos, want) in enumerate(zip(stored, samples[1:]), 1) if pos != want)
+            raise FormatError(f"select sample {j} at {stored[j - 1]} is not the one-bit the block counts rank "
+                              f"{j * SELECT_SAMPLE_RATE}")
+        return cls(owner, directory), off
 
 
 class PackedIntArray(Stored):
@@ -782,10 +847,10 @@ class EliasFano(Stored):
         """Every value as an int64 array, decoded at once by the numpy
         kernel: each high part is the position of its one-bit in the high
         bits less its ordinal, and the lows are one fixed-width unpack.
-        None when there are fewer than _KERNEL_MIN_VALUES values or the
+        None when there are fewer than _NUMPY_MIN values or the
         universe exceeds _KERNEL_UNIVERSE: the caller reads select_run."""
         n = self.n_values
-        if n < _KERNEL_MIN_VALUES or self.universe > _KERNEL_UNIVERSE:
+        if n < _NUMPY_MIN or self.universe > _KERNEL_UNIVERSE:
             return None
         high = np.array(self.high_rs.owner.words, dtype="<u8").view(np.uint8)
         highs = np.flatnonzero(np.unpackbits(high, bitorder="little"))[:n] - np.arange(n)
@@ -809,11 +874,11 @@ class EliasFano(Stored):
             return cls._empty(universe), off
         lw, high_len = cls.shape(n_values, universe)
         lows, off = PackedIntArray.from_bytes_raw(data, off, n_values, lw)
-        high, off = BitVector.from_bytes_raw(data, off, high_len)
-        counts, samples, ones = _scan_directory(high)
+        high, directory, off = _load_bits(data, off, high_len)
+        _, samples, ones = directory
         if ones != n_values:
             raise _ones_error(n_values)
         stored, off = read_words(data, off, len(samples) - 1, "I")
         if stored != samples[1:]:
             raise FormatError("Elias-Fano select samples differ from the high bits")
-        return cls(n_values, universe, lw, lows, RankSelectIndex(high, (counts, samples, ones))), off
+        return cls(n_values, universe, lw, lows, RankSelectIndex(high, directory)), off

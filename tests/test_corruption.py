@@ -16,7 +16,7 @@ from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, FormatError, Pla, 
 from plastore.container import ENVELOPE_BYTES, ENVELOPE_FMT, N_COMPONENTS, pack_components, unpack_components, zigzag
 from plastore.store_compression import CompressedPlaC, encode_c
 from plastore.store_indexing import CompressedPlaI, encode_i
-from plastore.succinct import RANK_BLOCK_BITS, SELECT_SAMPLE_RATE
+from plastore.succinct import SELECT_SAMPLE_RATE
 from conftest import mixed_radix_groups
 from test_cli import run_cli
 
@@ -75,12 +75,11 @@ def test_stats_on_a_flipped_universe_is_one_error_line(setting, tmp_path):
 @pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
 def test_flipped_bits_load_or_raise_format_error(setting, mode):
     # a directory or bitvector that holds fewer ones than the header
-    # promises is refused at load, not left to a scan that runs off the
-    # end; a delta group lifted past the power of the radix its digits can
-    # reach, and a flipped rank block count that ranks a key outside the
-    # segments, are refused at decode and predict.  Only
-    # keys the loaded container covers are queried, so any other error
-    # is a fault.
+    # promises, or a flipped rank block count, is refused at load, not
+    # left to a scan that runs off the end; a delta group lifted past the
+    # power of the radix its digits can reach is refused at decode and
+    # predict.  Only keys the loaded container covers are queried, so any
+    # other error is a fault.
     cls = CODECS[setting][1]
     data = container(setting, mode)
     keys = sequence(setting).plane_points()[0][::29]
@@ -119,18 +118,31 @@ def test_flipped_elias_fano_select_sample_refused():
 
 
 def test_rs_rank_outside_the_segments_is_format_error():
-    # a forged middle rank block count of indexing X ranks the key that
-    # opens its block past the last segment, or before the first although
-    # a one-bit precedes it
+    # a forged middle rank block count of indexing X, which would rank the
+    # key that opens its block past the last segment, or before the first
+    # although a one-bit precedes it, is refused at load
     data = container(INDEXING, MODE_RS, n=300)
     x = CompressedPlaI.from_bytes(data).x
     b = len(x.block_counts) - 2
     assert x.block_counts[b] >= 1
     at = ENVELOPE_BYTES + 8 + 8 * len(x.owner.words) + 4 * b  # after X's two length prefixes and its words
     for forged in (1 << 20, 0):
-        store = CompressedPlaI.from_bytes(data[:at] + struct.pack("<I", forged) + data[at + 4:])
-        with pytest.raises(FormatError, match="block counts are corrupt"):
-            store.predict(b * RANK_BLOCK_BITS)
+        with pytest.raises(FormatError, match=f"rank block count {b} is {forged}"):
+            CompressedPlaI.from_bytes(data[:at] + struct.pack("<I", forged) + data[at + 4:])
+
+
+def test_every_flipped_rs_block_count_refused():
+    # each bit of every stored block count of indexing X (after X's two
+    # length prefixes and its words) is refused at load
+    data = container(INDEXING, MODE_RS, n=300)
+    x = CompressedPlaI.from_bytes(data).x
+    start = ENVELOPE_BYTES + 8 + 8 * len(x.owner.words)
+    assert data[start:start + 4 * len(x.block_counts)] == struct.pack(f"<{len(x.block_counts)}I", *x.block_counts)
+    for bit in range(8 * start, 8 * (start + 4 * len(x.block_counts))):
+        bad = bytearray(data)
+        bad[bit >> 3] ^= 1 << (bit & 7)
+        with pytest.raises(FormatError, match="rank block count"):
+            CompressedPlaI.from_bytes(bytes(bad))
 
 
 @pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
@@ -205,7 +217,7 @@ def test_padded_component_refused(setting, mode, component):
     # match: every other check passes, so only the end offset can tell
     data = container(setting, mode, n=300)
     parts = unpack_components(data, ENVELOPE_BYTES, N_COMPONENTS)
-    parts[component] += bytes(8)
+    parts[component] = bytes(parts[component]) + bytes(8)  # the payloads are views into `data`
     with pytest.raises(FormatError, match="payload"):
         CODECS[setting][1].from_bytes(data[:ENVELOPE_BYTES] + pack_components(parts))
 

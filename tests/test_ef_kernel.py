@@ -62,7 +62,7 @@ def both_paths(read):
     """read() with the kernel forced on, then off."""
     out = []
     for kernel_min in (ALWAYS, NEVER):
-        with patch.object(succinct, "_KERNEL_MIN_VALUES", kernel_min):
+        with patch.object(succinct, "_NUMPY_MIN", kernel_min):
             out.append(read())
     return out
 
@@ -76,7 +76,7 @@ def test_values_equal_on_both_paths(n, scale, seed):
     ef = EliasFano.from_bytes_raw(raw, 0, n, universe)[0]
     kernel, exact = both_paths(ef.values)
     assert kernel == exact == values
-    with patch.object(succinct, "_KERNEL_MIN_VALUES", ALWAYS):
+    with patch.object(succinct, "_NUMPY_MIN", ALWAYS):
         assert (ef.values_array() is None) == (universe > GUARD)
 
 

@@ -2,12 +2,15 @@
 groups of the anchor deltas (succinct.MixedRadixArray) and the directory
 builder over one-bit positions (RankSelectIndex.from_ones) against
 Python references (tests/conftest.py and below), the word serializer
-(succinct.write_words) against struct.pack, and the encode-side limits
-of the 64-bit writer."""
+(succinct.write_words) against struct.pack, the one-pass loader of
+ranked and selected bitvectors against struct and _scan_directory, the
+memory a load takes, and the encode-side limits of the 64-bit writer."""
 
 import random
 import re
 import struct
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import mixed_radix_bits, mixed_radix_groups, reference_from_fields, reference_from_ones
 from plastore import (COMPRESSION, INDEXING, MODE_EF, MODE_RS, Pla, PointSeq, Segment, build_optimal_pla, encode_c,
-                      encode_i)
+                      encode_i, succinct)
 from plastore.container import zigzag
 from plastore.store_compression import CompressedPlaC
+from plastore.store_indexing import CompressedPlaI
 from plastore.succinct import (SELECT_SAMPLE_RATE, BitVector, EliasFano, MixedRadixArray, PackedIntArray,
                                RankSelectIndex, _scan_directory, pack_fields, read_words, write_words)
 
@@ -144,6 +148,62 @@ def test_directory_from_positions_matches_scan(ones, bits_per_one, length_pad):
     assert all(type(w) is int for w in rs.owner.words + rs.block_counts + rs.samples)
 
 
+def scanned(raw, off, nbits):
+    """The reference load of the `nbits`-bit vector at byte `off` of `raw`:
+    its words by struct.unpack_from, and the directory _scan_directory
+    gives them."""
+    words = list(struct.unpack_from(f"<{(nbits + 63) // 64}Q", raw, off))
+    return words, _scan_directory(BitVector(words, nbits))
+
+
+def loaded(index):
+    """(words, directory) of a RankSelectIndex."""
+    return index.owner.words, (index.block_counts, index.samples, index.total_ones)
+
+
+@pytest.mark.parametrize("numpy_min", (1, 1 << 40))  # one numpy pass per vector, then read_words and the scan
+@pytest.mark.parametrize("length_pad", (0, 1, 63, 511))
+@pytest.mark.parametrize("bits_per_one", (1.0, 1.25, 40, 3000))
+@pytest.mark.parametrize("ones", (0, 1, 511, 512, 513, 1024, 1025, 1537))
+def test_loaded_directory_matches_scan(ones, bits_per_one, length_pad, numpy_min):
+    # an rs vector and the high bits of an Elias-Fano sequence, each read
+    # back with its directory on one side of the short-vector guard
+    length, positions = directory_case(ones, bits_per_one, length_pad)
+    rs = RankSelectIndex.from_ones(length, positions)
+    ef = EliasFano.encode(positions, length)
+    with patch.object(succinct, "_NUMPY_MIN", numpy_min):
+        raw = rs.to_bytes_raw()
+        rs2, off = RankSelectIndex.from_bytes_raw(raw, 0, length, ones)
+        assert off == len(raw) and loaded(rs2) == scanned(raw, 0, length) == loaded(rs)
+        raw = ef.to_bytes_raw()
+        ef2, off = EliasFano.from_bytes_raw(raw, 0, ones, length)
+        assert off == len(raw) and loaded(ef2.high_rs) == loaded(ef.high_rs)
+        if ones:
+            assert loaded(ef2.high_rs) == scanned(raw, 8 * len(ef.lows.bits.words), ef.high_rs.owner.nbits)
+    for index in (rs2, ef2.high_rs):
+        words, (counts, samples, total) = loaded(index)
+        assert all(type(v) is int for v in words + counts + samples + [total])
+
+
+def test_rs_load_takes_one_list_of_words():
+    # the universe-sized X of a sparse indexing rs container is read into
+    # its list of words and little else: no tuple of the words, and no copy
+    # of the payload
+    rng = random.Random(3)
+    keys = sorted(rng.sample(range(1, 1 << 24), 299)) + [(1 << 24) + 4096]
+    points = PointSeq(keys, setting=INDEXING)
+    data = encode_i(build_optimal_pla(points, 4), points, MODE_RS).to_bytes()
+    tracemalloc.start()
+    try:
+        store = CompressedPlaI.from_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = len(store.x.owner.words)
+    assert words >= 1 << 18
+    assert peak < 1.5 * 8 * words, f"load peaked at {peak} bytes for {words} words"
+
+
 def test_from_ones_in_any_order_and_out_of_range():
     positions = [700, 3, 64, 3, 0, 511, 512]
     assert BitVector.from_ones(701, positions).words == reference_from_ones(701, positions)
@@ -162,7 +222,8 @@ def test_write_words_matches_struct_pack(code, top):
     values += [rng.getrandbits(top) for _ in range(99)]
     data = b"".join([write_words(values, code)])
     assert data == struct.pack(f"<{len(values)}{code}", *values)
-    assert read_words(data, 0, len(values), code) == (values, len(data))
+    for count in (3, len(values)):  # below and above the short-vector guard
+        assert read_words(data, 0, count, code) == (values[:count], count * struct.calcsize(code))
     assert b"".join([write_words([], code)]) == b""
     for bad in (-1, 1 << top):
         with pytest.raises(OverflowError):
