@@ -129,13 +129,13 @@ class FieldOffsets:
     def from_axis(cls, ell, coords, bias, whole=None):
         """Every field's end offset rebuilt from all ell coordinates.
         `whole` is the axis's Axis.whole: where it gives the coordinates as
-        an int64 array, numpy sums the widths; otherwise one run of
-        `coords` reads them and Python integers sum the widths."""
+        an array, numpy sums the widths; otherwise one run of `coords`
+        reads them and Python integers sum the widths."""
         cs = whole() if whole is not None and abs(bias) < _BIAS_LIMIT else None
         if cs is None:
             cs = coords(1, ell)
             ends = list(accumulate([(b - a - bias).bit_length() for a, b in zip(cs, cs[1:])]))
-        else:  # every gap is below 2^62 in magnitude, and so is the bias
+        else:  # int64 keeps every gap, and the bias, below 2^62 in magnitude; object is exact
             ends = np.cumsum(bit_lengths(np.abs(np.diff(cs) - bias)))
         return cls.from_ends(ends, coords, bias)
 
@@ -291,7 +291,7 @@ class Axis:
     """One axis's first coordinates c_1 <= ... <= c_ell (see module
     docstring).  skip, shift and end are its rule; once bound to the
     stored sequence s, `select(k)` reads s_k, `run(k, count)` a run of
-    them, `whole()` all of them as an int64 array or None (see
+    them, `whole()` all of them as an array or None (see
     EliasFano.values_array; `whole` is None for a bitvector), and
     c_i = s_{i-skip} + shift*(i-1) + base."""
 

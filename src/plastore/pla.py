@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import NamedTuple
 
 import numpy as np
@@ -34,18 +34,23 @@ COMPRESSION = "compression"
 INDEXING = "indexing"
 SETTINGS = (COMPRESSION, INDEXING)
 
-_CHUNK = 8192  # points per step of the int64 kernels, so their temporaries stay small
-_INT64_SAFE = 1 << 62  # the kernels take only plane coordinates below this
-_GUARD = float(1 << 61)  # a segment's float64 bound on its largest int64 term must stay below this
+_CHUNK = 8192  # points per step of the kernels, so their temporaries stay small
+_INT64_SAFE = 1 << 62  # the kernels run at int64 only if every plane coordinate is below this
+_GUARD = float(1 << 61)  # ... and every segment's float64 bound on its largest term is below this
 
 
 class PointSeq:
-    """A strictly increasing integer sequence of values >= 1."""
+    """A strictly increasing integer sequence of values >= 1, held as
+    Python ints: numpy integers are converted, other numbers refused."""
 
     __slots__ = ("values", "setting")
 
     def __init__(self, values, setting=COMPRESSION):
-        values = tuple(values)
+        ints = map(index, values)
+        try:
+            values = tuple(ints)
+        except TypeError as exc:
+            raise ValueError(f"values must be integers: {exc}") from None
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}")
         if values and values[0] < 1:
@@ -192,14 +197,13 @@ def interpolate(first_x: int, last_x: int, beta: int, gamma: int, x: int) -> int
     return (x - first_x) * (gamma - beta) // (last_x - first_x) + beta
 
 
-def _nearest(num: int, den: int) -> int:
-    """Round num/den (den > 0) to the nearest integer, halves up."""
-    return (2 * num + den) // (2 * den)
-
-
-# The exact path: one segment at a time, in Python integers of any size.
-# It is the reference the int64 kernels below reproduce, and it takes the
-# segments (or the whole input) that fail their guards.
+# The kernels: every segment at once, the points in chunks of _CHUNK, in
+# one of two dtypes chosen once per input.  A kernel runs at int64 when
+# every coordinate is below _INT64_SAFE, its slope terms or anchors fit
+# in int64, and a float64 estimate of the largest term each segment forms
+# stays below _GUARD; float64 errs by far less than the factor 4 between
+# _GUARD and 2^63, so no term overflows.  Otherwise it runs the same code
+# on object arrays of Python ints, exact at any size.
 
 def _plane_views(points: PointSeq):
     """(xs, ys) of the points as indexable sequences of Python ints, without copying."""
@@ -207,40 +211,17 @@ def _plane_views(points: PointSeq):
     return (ranks, points.values) if points.setting == COMPRESSION else (points.values, ranks)
 
 
-def _exact_anchors(xs, ys, s: int, e: int, slope):
-    """(beta, gamma) of the segment over points s..e whose feasible slope
-    interval is `slope` (None for one point)."""
-    if s == e:
-        return ys[s], ys[s]
-    lo_n, lo_d, hi_n, hi_d = slope
-    num_a = lo_n * hi_d + hi_n * lo_d  # the midpoint slope is num_a / den_a
-    den_a = 2 * lo_d * hi_d  # > 0: lo_d and hi_d are x-gaps
-    x0 = xs[s]
-    ts = [ys[j] * den_a - num_a * (xs[j] - x0) for j in range(s, e + 1)]
-    t = max(ts) + min(ts)
-    # beta_real = a*x0 + b_mid, gamma_real = a*x1 + b_mid, with
-    # b_mid centered between the tightest floor/ceiling offsets.
-    return _nearest(t, 2 * den_a), _nearest(2 * num_a * (xs[e] - x0) + t, 2 * den_a)
-
-
-def _exact_points(xs, ys, s: int, e: int, beta: int, gamma: int) -> list:
-    """(x, predicted, true) at points s..e of the segment with anchors beta, gamma."""
-    x0, x1 = xs[s], xs[e]
-    return [(xs[j], interpolate(x0, x1, beta, gamma, xs[j]), ys[j]) for j in range(s, e + 1)]
-
-
-# The int64 kernels: every segment at once, the points in chunks of _CHUNK.
-# A segment enters a kernel only if a float64 estimate of the largest term
-# it forms stays below _GUARD; float64 errs by far less than the factor 4
-# between _GUARD and 2^63, so no term overflows.
-
 def _plane_arrays(points: PointSeq):
-    """(xs, ys) as int64 arrays, or None if a coordinate reaches _INT64_SAFE."""
-    if points.n == 0 or points.values[-1] >= _INT64_SAFE:
-        return None
-    values = np.array(points.values, dtype=np.int64)
-    ranks = np.arange(1, points.n + 1, dtype=np.int64)
+    """(xs, ys) as int64 arrays, or as object arrays if a coordinate reaches _INT64_SAFE."""
+    dtype = object if points.n and points.values[-1] >= _INT64_SAFE else np.int64
+    values = np.array(points.values, dtype=dtype)
+    ranks = np.arange(1, points.n + 1, dtype=np.int64).astype(dtype, copy=False)
     return (ranks, values) if points.setting == COMPRESSION else (values, ranks)
+
+
+def _objects(*arrays):
+    """The arrays as object arrays of Python ints."""
+    return tuple(a.astype(object) for a in arrays)
 
 
 def _chunks(starts, n: int):
@@ -257,44 +238,52 @@ def _chunks(starts, n: int):
         yield slice(p0, p1), slice(i0, i1), local, seg
 
 
-def _int64(values, count: int):
-    """The `count` ints of `values` as an int64 array, or None if one does
-    not fit in int64."""
-    try:
-        return np.fromiter(values, dtype=np.int64, count=count)
-    except OverflowError:
-        return None
+def _slope_terms(slopes, dtype):
+    """The slope intervals as an (ell, 4) array of `dtype`, a one-point
+    segment's as slope 0 (0/1); OverflowError if a term does not fit."""
+    terms = chain.from_iterable(sl or (0, 1, 0, 1) for sl in slopes)
+    return np.fromiter(terms, dtype=dtype, count=4 * len(slopes)).reshape(-1, 4)
 
 
-def _int64_slopes(slopes):
-    """The slope intervals as an (ell, 4) int64 array, a one-point segment's
-    as slope 0 (0/1), or None if a term does not fit in int64."""
-    terms = _int64(chain.from_iterable(sl or (0, 1, 0, 1) for sl in slopes), 4 * len(slopes))
-    return None if terms is None else terms.reshape(-1, 4)
-
-
-def _kernel_anchors(plane, starts, ends, slopes):
-    """(betas, gammas, ok): `_exact_anchors` of every segment as int64
-    arrays, valid where `ok` is set; `slopes` is `_int64_slopes`'s array,
-    which this overwrites."""
-    xs, ys = plane
-    lo_n, lo_d, hi_n, hi_d = slopes.T
-    ok = (np.abs(lo_n.astype(np.float64)) * hi_d + np.abs(hi_n.astype(np.float64)) * lo_d < _GUARD) & (
-        2.0 * lo_d * hi_d < _GUARD)
-    slopes[~ok] = (0, 1, 0, 1)  # keeps the skipped segments' terms small
+def _midpoint_slopes(terms):
+    """(num, den): each segment's midpoint slope num/den (den > 0) in
+    lowest terms, from its `_slope_terms`."""
+    lo_n, lo_d, hi_n, hi_d = terms.T
     num = lo_n * hi_d + hi_n * lo_d
-    den = 2 * lo_d * hi_d
+    den = 2 * lo_d * hi_d  # > 0: lo_d and hi_d are x-gaps
     g = np.gcd(num, den)
-    num //= g
-    den //= g
+    return num // g, den // g
+
+
+def _anchors(plane, starts, ends, slopes):
+    """(betas, gammas): `_kernel_anchors` of every segment, at int64 if
+    every slope term fits and every term the rounding forms passes the
+    guard, otherwise on object arrays."""
+    if plane[0].dtype == np.int64:
+        try:
+            terms = _slope_terms(slopes, np.int64)
+        except OverflowError:
+            terms = None
+        if terms is not None:
+            lo_n, lo_d, hi_n, hi_d = terms.T.astype(np.float64)
+            if (np.abs(lo_n) * hi_d + np.abs(hi_n) * lo_d < _GUARD).all() and (2.0 * lo_d * hi_d < _GUARD).all():
+                num, den = _midpoint_slopes(terms)
+                xs, ys = plane
+                # |t| <= y*den + |num|*dx, and gamma's numerator is below 8*|num|*dx + (4*y + 2)*den
+                if (8.0 * np.abs(num) * (xs[ends] - xs[starts]) + (4.0 * ys[ends] + 2.0) * den < _GUARD).all():
+                    return _kernel_anchors(plane, starts, ends, num, den)
+    return _kernel_anchors(_objects(*plane), starts, ends, *_midpoint_slopes(_slope_terms(slopes, object)))
+
+
+def _kernel_anchors(plane, starts, ends, num, den):
+    """(betas, gammas) of every segment, in the arrays' dtype: the values
+    at its first and last x of the line of slope num/den centred between
+    its points' floor and ceiling offsets, rounded to the nearest
+    integers, halves up."""
+    xs, ys = plane
     x0 = xs[starts]
-    dx = xs[ends] - x0
-    # |t| <= y*den + |num|*dx, and gamma's numerator is below 8*|num|*dx + (4*y + 2)*den
-    ok &= 8.0 * np.abs(num) * dx + (4.0 * ys[ends] + 2.0) * den < _GUARD
-    num[~ok] = 0
-    den[~ok] = 1
-    t_max = np.full(len(starts), np.iinfo(np.int64).min)
-    t_min = np.full(len(starts), np.iinfo(np.int64).max)
+    t_max = ys[starts] * den  # t = y*den - num*(x - x0) at the segment's first point
+    t_min = t_max.copy()
     for pts, segs, local, k in _chunks(starts, len(xs)):
         t = xs[pts] - x0[k]
         t *= num[k]
@@ -302,24 +291,19 @@ def _kernel_anchors(plane, starts, ends, slopes):
         np.maximum(t_max[segs], np.maximum.reduceat(t, local), out=t_max[segs])
         np.minimum(t_min[segs], np.minimum.reduceat(t, local), out=t_min[segs])
     t = t_max + t_min
+    # beta = a*x0 + b_mid and gamma = a*x1 + b_mid, with b_mid = t / (2*den)
     betas = (2 * t + 2 * den) // (4 * den)
-    gammas = (2 * (2 * num * dx + t) + 2 * den) // (4 * den)
-    return betas, gammas, ok
+    gammas = (2 * (2 * num * (xs[ends] - x0) + t) + 2 * den) // (4 * den)
+    return betas, gammas
 
 
 def _kernel_errors(plane, starts, ends, betas, gammas):
-    """(errors, ok): each segment's max |predicted - true| as int64, valid
-    where `ok` is set."""
+    """Each segment's max |predicted - true|, in the arrays' dtype."""
     xs, ys = plane
     x0 = xs[starts]
-    dx = xs[ends] - x0
-    b, g = np.abs(betas.astype(np.float64)), np.abs(gammas.astype(np.float64))
-    # |(x - x0)*(gamma - beta)| <= dx*(|beta| + |gamma|), and |predicted - true| is below that + |beta| + y
-    ok = dx * (b + g) + b + ys[ends] < _GUARD
-    betas = np.where(ok, betas, 0)
-    dg = np.where(ok, gammas, 0) - betas
-    dx = np.maximum(dx, 1)  # a one-point segment predicts beta at its only x, x0
-    errors = np.zeros(len(starts), dtype=np.int64)
+    dg = gammas - betas
+    dx = np.maximum(xs[ends] - x0, 1)  # a one-point segment predicts beta at its only x, x0
+    errors = np.zeros(len(starts), dtype=xs.dtype)
     for pts, segs, local, k in _chunks(starts, len(xs)):
         err = xs[pts] - x0[k]
         err *= dg[k]
@@ -328,26 +312,27 @@ def _kernel_errors(plane, starts, ends, betas, gammas):
         err -= ys[pts]
         np.abs(err, out=err)
         np.maximum(errors[segs], np.maximum.reduceat(err, local), out=errors[segs])
-    return errors, ok
-
-
-def _max_errors(points: PointSeq, plane, starts, ends, betas: list, gammas: list) -> list:
-    """Max |predicted - true| of each segment: the one over points
-    starts[i]..ends[i] (int64 arrays) with anchors betas[i], gammas[i].
-    `plane` is `_plane_arrays(points)`.  The int64 kernel takes every
-    segment that passes its guard, the exact path the others, or the
-    whole input if a coordinate or an anchor does not fit in int64."""
-    ok = np.zeros(len(betas), dtype=bool)
-    errors = [0] * len(betas)
-    b, g = _int64(betas, len(betas)), _int64(gammas, len(gammas))
-    if plane is not None and b is not None and g is not None:
-        kernel, ok = _kernel_errors(plane, starts, ends, b, g)
-        errors = kernel.tolist()
-    xs, ys = _plane_views(points)
-    for i in np.flatnonzero(~ok).tolist():
-        points_i = _exact_points(xs, ys, int(starts[i]), int(ends[i]), betas[i], gammas[i])
-        errors[i] = max(abs(pred - y) for _, pred, y in points_i)
     return errors
+
+
+def _max_errors(plane, starts, ends, betas, gammas) -> list:
+    """Max |predicted - true| of each segment: the one over points
+    starts[i]..ends[i] (int64 arrays) with anchors betas[i], gammas[i]
+    (int sequences or arrays), by `_kernel_errors`, at int64 if every
+    anchor fits and every term the scan forms passes the guard, otherwise
+    on object arrays.  `plane` is `_plane_arrays` of the points."""
+    try:
+        b, g = np.asarray(betas, dtype=np.int64), np.asarray(gammas, dtype=np.int64)
+    except OverflowError:
+        b = None
+    if b is not None and plane[0].dtype == np.int64:
+        xs, ys = plane
+        fb, fg = np.abs(b.astype(np.float64)), np.abs(g.astype(np.float64))
+        # |(x - x0)*(gamma - beta)| <= dx*(|beta| + |gamma|), and |predicted - true| is below that + |beta| + y
+        if ((xs[ends] - xs[starts]) * (fb + fg) + fb + ys[ends] < _GUARD).all():
+            return _kernel_errors(plane, starts, ends, b, g).tolist()
+    b, g = np.array(betas, dtype=object), np.array(gammas, dtype=object)
+    return _kernel_errors(_objects(*plane), starts, ends, b, g).tolist()
 
 
 def round_to_integer_endpoints(spans, slopes, epsilon: int, points: PointSeq) -> Pla:
@@ -364,19 +349,12 @@ def round_to_integer_endpoints(spans, slopes, epsilon: int, points: PointSeq) ->
     """
     ell = len(spans)
     starts, ends = np.fromiter(chain.from_iterable(spans), dtype=np.int64, count=2 * ell).reshape(-1, 2).T
-    plane = _plane_arrays(points)
-    int_slopes = _int64_slopes(slopes) if plane is not None else None
-    if int_slopes is None:
-        betas, gammas, ok = [0] * ell, [0] * ell, np.zeros(ell, dtype=bool)
-    else:
-        betas, gammas, ok = _kernel_anchors(plane, starts, ends, int_slopes)
-        betas, gammas = betas.tolist(), gammas.tolist()
-    xs, ys = _plane_views(points)
-    for i in np.flatnonzero(~ok).tolist():
-        betas[i], gammas[i] = _exact_anchors(xs, ys, *spans[i], slopes[i])
-    eps_eff = max(_max_errors(points, plane, starts, ends, betas, gammas), default=0)
+    plane = _plane_arrays(points)  # built once: the error scan takes it too
+    betas, gammas = _anchors(plane, starts, ends, slopes)
+    eps_eff = max(_max_errors(plane, starts, ends, betas, gammas), default=0)
     if eps_eff > epsilon + 3:
         raise RuntimeError(f"rounded error {eps_eff} exceeds epsilon + 3")
+    betas, gammas = betas.tolist(), gammas.tolist()
     # the value coordinates are the sequence's own int objects, not copies
     value_at = points.values.__getitem__
     values = list(map(value_at, starts.tolist())), list(map(value_at, ends.tolist()))
@@ -419,10 +397,10 @@ def _checked_errors(pla: Pla, points: PointSeq):
     segs = pla.segments
     # the point ranks, 1-based, read from the segments' own int objects
     ranks = ("first_x", "last_x") if pla.setting == COMPRESSION else ("first_y", "last_y")
-    starts, ends = (_int64(map(attrgetter(name), segs), len(segs)) - 1 for name in ranks)
+    starts, ends = (np.fromiter(map(attrgetter(name), segs), dtype=np.int64, count=len(segs)) - 1 for name in ranks)
     betas = [seg.intercept for seg in segs]
     gammas = [seg.final_y for seg in segs]
-    return starts, ends, _max_errors(points, _plane_arrays(points), starts, ends, betas, gammas)
+    return starts, ends, _max_errors(_plane_arrays(points), starts, ends, betas, gammas)
 
 
 def verify_error(pla: Pla, points: PointSeq) -> int:
@@ -442,9 +420,10 @@ def violations(pla: Pla, points: PointSeq, bound: int) -> list:
     starts, ends, errors = _checked_errors(pla, points)
     xs, ys = _plane_views(points)
     bad = []
-    for i, err in enumerate(errors):
+    for seg, s, e, err in zip(pla.segments, starts.tolist(), ends.tolist(), errors):
         if err > bound:
-            seg = pla.segments[i]
-            points_i = _exact_points(xs, ys, int(starts[i]), int(ends[i]), seg.intercept, seg.final_y)
-            bad += [(x, pred, y) for x, pred, y in points_i if abs(pred - y) > bound]
+            for x, y in zip(xs[s:e + 1], ys[s:e + 1]):
+                pred = interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, x)
+                if abs(pred - y) > bound:
+                    bad.append((x, pred, y))
     return bad

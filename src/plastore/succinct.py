@@ -46,9 +46,10 @@ hold one; ``write_words`` serializes words and tables through
 array.array.
 
 A whole Elias-Fano sequence is decoded either by ``select_run`` in Python
-integers, or by one numpy int64 kernel (``EliasFano.values_array``) when
-it is long enough to pay for the kernel and its universe keeps every
-value far below 2^63; ``values()`` reads through whichever applies.
+integers, or by one numpy kernel (``EliasFano.values_array``) when it is
+long enough to pay for the kernel: in int64 while its universe keeps
+every value far below 2^63, in object dtype (Python ints) above that.
+``values()`` reads through whichever applies.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ _BLOCK_WORDS = RANK_BLOCK_BITS // WORD_BITS
 # numpy, and load reads a ranked or selected vector of at least
 # _NUMPY_MIN words in one numpy pass (_load_bits; read_words and
 # _scan_directory read a shorter one).  Measured crossovers on a 2-core
-# VM: ~50 values, ~80 words and ~150 words.  The kernel also needs a
-# universe of at most _KERNEL_UNIVERSE, which keeps every value it
-# forms, and every difference of two, below 2^62 in magnitude.
+# VM: ~50 values, ~80 words and ~150 words.  The kernel decodes in
+# int64 up to a universe of _INT64_UNIVERSE, which keeps every value it
+# forms, and every difference of two, below 2^62 in magnitude, and in
+# object dtype above it.
 _NUMPY_MIN = 80
-_KERNEL_UNIVERSE = 1 << 60
+_INT64_UNIVERSE = 1 << 60
 # Load writes the nonzero words into a list of zeros, rather than
 # converting every word, when the rank blocks that hold a one-bit span
 # fewer than one word in _SPARSE_WORDS: writing a word costs about as
@@ -201,10 +203,10 @@ def _ones(length: int, positions):
 
 
 def bit_lengths(a):
-    """int.bit_length of each element of a non-negative int64 or uint64
-    array: the float64 exponent (at most 64), which rounding makes one too
-    large just below a power of two above 2^53, less one where the value
-    is below 2^(exponent - 1)."""
+    """int.bit_length of each element of a non-negative int64, uint64 or
+    object array of values below 2^64: the float64 exponent (at most 64),
+    which rounding makes one too large just below a power of two above
+    2^53, less one where the value is below 2^(exponent - 1)."""
     e = np.minimum(np.frexp(a.astype(np.float64))[1], 64).astype(np.int64)
     return e - ((e > 0) & (a >> np.maximum(e - 1, 0).astype(a.dtype) == 0))
 
@@ -353,19 +355,21 @@ def _select_from(words, wi: int, need: int) -> int:
 
 
 def _load_bits(data, off: int, nbits: int):
-    """(bitvector, directory, offset after its words) of the `nbits`-bit
-    vector stored from byte `off` of `data`, with the directory as
-    _scan_directory gives it; FormatError if `data` is short.  From
-    _NUMPY_MIN words on, one numpy pass over a view of the words gives
-    the popcount of every word and from them the rank block counts, the
-    count of ones and the word holding each sampled one-bit; the words
-    are converted to a list (tolist()), or, when few hold a one, only the
-    nonzero ones are written into a list of zeros, as _ones does."""
+    """(bitvector, directory, offset after its words, block counts) of the
+    `nbits`-bit vector stored from byte `off` of `data`, with the directory
+    as _scan_directory gives it and its block counts once more as an int64
+    array; FormatError if `data` is short.  From _NUMPY_MIN words on, one
+    numpy pass over a view of the words gives the popcount of every word
+    and from them the rank block counts, the count of ones and the word
+    holding each sampled one-bit; the words are converted to a list
+    (tolist()), or, when few hold a one, only the nonzero ones are written
+    into a list of zeros, as _ones does."""
     count = (nbits + 63) >> 6
     if count < _NUMPY_MIN:
         words, off = read_words(data, off, count)
         bv = BitVector(words, nbits)
-        return bv, _scan_directory(bv), off
+        directory = _scan_directory(bv)
+        return bv, directory, off, np.array(directory[0], dtype=np.int64)
     end = _words_end(data, off, count, "Q")
     w = np.frombuffer(data, "<u8", count, off)
     nblocks = -(-count // _BLOCK_WORDS)
@@ -379,7 +383,8 @@ def _load_bits(data, off: int, nbits: int):
     ones = int(ends[-1]) if len(ends) else 0
     # blocks busy[i - 1] + 1 through busy[i] count ends[i - 1], the ones before them
     runs = np.diff(np.concatenate(([-1], busy, [nblocks - 1])))
-    counts = np.repeat(np.concatenate(([0], ends)), runs).tolist()
+    block_counts = np.repeat(np.concatenate(([0], ends)), runs)
+    counts = block_counts.tolist()
     if len(busy) * _BLOCK_WORDS * _SPARSE_WORDS < count:
         nonzero = (busy[:, None] * _BLOCK_WORDS + np.arange(_BLOCK_WORDS)).ravel()[per_word.ravel() != 0]
         words = [0] * count
@@ -391,7 +396,7 @@ def _load_bits(data, off: int, nbits: int):
     # the k-th one-bit sits in the first busy block whose cumulative count reaches k
     at = busy[np.searchsorted(ends, ks)].tolist()
     samples = [_select_from(words, b * _BLOCK_WORDS, k - counts[b]) for k, b in zip(ks.tolist(), at)]
-    return BitVector(words, nbits), (counts, samples, ones), end
+    return BitVector(words, nbits), (counts, samples, ones), end, block_counts
 
 
 class RankSelectIndex(Stored):
@@ -528,15 +533,17 @@ class RankSelectIndex(Stored):
         tables.  FormatError if the vector holds another count of ones, if
         a stored block count differs from the ones before its block, or if
         a stored sample differs from the position of its one-bit."""
-        owner, directory, off = _load_bits(data, off, nbits)
+        owner, directory, off, rebuilt = _load_bits(data, off, nbits)
         counts, samples, total = directory
         if total != ones:
             raise _ones_error(ones)
-        stored, off = read_words(data, off, len(counts), "I")
-        if stored != counts:
-            b = next(b for b, (c, want) in enumerate(zip(stored, counts)) if c != want)
+        end = _words_end(data, off, len(counts), "I")
+        stored = np.frombuffer(data, "<u4", len(counts), off)
+        differ = stored != rebuilt
+        if differ.any():
+            b = int(differ.argmax())
             raise FormatError(f"rank block count {b} is {stored[b]}, but {counts[b]} one-bits precede its block")
-        stored, off = read_words(data, off, len(samples[1:]), "I")
+        stored, off = read_words(data, end, len(samples[1:]), "I")
         if stored != samples[1:]:
             j = next(j for j, (pos, want) in enumerate(zip(stored, samples[1:]), 1) if pos != want)
             raise FormatError(f"select sample {j} at {stored[j - 1]} is not the one-bit the block counts rank "
@@ -844,17 +851,21 @@ class EliasFano(Stored):
         return (k, self.select(k)) if k else None
 
     def values_array(self):
-        """Every value as an int64 array, decoded at once by the numpy
-        kernel: each high part is the position of its one-bit in the high
-        bits less its ordinal, and the lows are one fixed-width unpack.
-        None when there are fewer than _NUMPY_MIN values or the
-        universe exceeds _KERNEL_UNIVERSE: the caller reads select_run."""
+        """Every value, decoded at once by the numpy kernel: each high part
+        is the position of its one-bit in the high bits less its ordinal,
+        and the lows are one fixed-width unpack.  An int64 array up to a
+        universe of _INT64_UNIVERSE, an object array of Python ints above
+        it.  None when there are fewer than _NUMPY_MIN values: the caller
+        reads select_run."""
         n = self.n_values
-        if n < _NUMPY_MIN or self.universe > _KERNEL_UNIVERSE:
+        if n < _NUMPY_MIN:
             return None
         high = np.array(self.high_rs.owner.words, dtype="<u8").view(np.uint8)
         highs = np.flatnonzero(np.unpackbits(high, bitorder="little"))[:n] - np.arange(n)
-        return (highs << self.low_width) | unpack_fields(self.lows.bits.words, n, self.low_width)
+        lows = unpack_fields(self.lows.bits.words, n, self.low_width)
+        if self.universe > _INT64_UNIVERSE:
+            highs, lows = highs.astype(object), lows.astype(object)
+        return (highs << self.low_width) | lows
 
     def values(self):
         whole = self.values_array()
@@ -874,7 +885,7 @@ class EliasFano(Stored):
             return cls._empty(universe), off
         lw, high_len = cls.shape(n_values, universe)
         lows, off = PackedIntArray.from_bytes_raw(data, off, n_values, lw)
-        high, directory, off = _load_bits(data, off, high_len)
+        high, directory, off, _ = _load_bits(data, off, high_len)
         _, samples, ones = directory
         if ones != n_values:
             raise _ones_error(n_values)

@@ -114,18 +114,47 @@ def max_error_against_truth(setting, segments, points) -> int:
     return int(np.max(np.abs(pred - truth)))
 
 
-def exact_max_error(pla, points) -> int:
-    """Max |prediction - truth| over every point, one Python-integer
+def exact_errors(pla, points) -> list:
+    """Each segment's max |prediction - truth|, one Python-integer
     interpolate per point: the reference for any magnitude."""
     xs, ys = points.plane_points()
-    worst = 0
+    errors = []
     j = 0
     for seg in pla.segments:
+        worst = 0
         while j < points.n and xs[j] <= seg.last_x:
             pred = interpolate(seg.first_x, seg.last_x, seg.intercept, seg.final_y, xs[j])
             worst = max(worst, abs(pred - ys[j]))
             j += 1
-    return worst
+        errors.append(worst)
+    return errors
+
+
+def exact_max_error(pla, points) -> int:
+    """Max |prediction - truth| over every point (exact_errors)."""
+    return max(exact_errors(pla, points), default=0)
+
+
+def exact_anchors(xs, ys, s: int, e: int, slope):
+    """(beta, gamma) of the segment over points s..e of the plane lists
+    (xs, ys) whose feasible slope interval is `slope` (None for one
+    point), one point at a time in Python integers: the line of the
+    midpoint slope, centred between the points' floor and ceiling
+    offsets, at the first and last x, rounded to the nearest integers,
+    halves up.  The reference for pla._kernel_anchors."""
+    if s == e:
+        return ys[s], ys[s]
+    lo_n, lo_d, hi_n, hi_d = slope
+    num = lo_n * hi_d + hi_n * lo_d  # the midpoint slope is num / den
+    den = 2 * lo_d * hi_d
+    x0 = xs[s]
+    ts = [ys[j] * den - num * (xs[j] - x0) for j in range(s, e + 1)]
+    t = max(ts) + min(ts)  # twice the centred offset, times den
+
+    def nearest(a, b):
+        return (2 * a + b) // (2 * b)
+
+    return nearest(t, 2 * den), nearest(2 * num * (xs[e] - x0) + t, 2 * den)
 
 
 def reference_from_fields(fields):

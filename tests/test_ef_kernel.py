@@ -16,7 +16,7 @@ from plastore.succinct import EliasFano, PackedIntArray, bit_lengths, unpack_fie
 
 ALWAYS, NEVER = 1, 1 << 40  # crossovers that force the kernel, or the exact path
 CODECS = {COMPRESSION: (encode_c, CompressedPlaC), INDEXING: (encode_i, CompressedPlaI)}
-GUARD = succinct._KERNEL_UNIVERSE
+GUARD = succinct._INT64_UNIVERSE
 P53 = 1 << 53
 
 # (lowest value, largest gap) of the drawn sequences; near 2^53 the gaps
@@ -25,8 +25,8 @@ SCALES = {
     "dense": (0, 2),  # low width 0 once n passes ~130
     "wide": (0, 1 << 47),  # low width >= 40
     "2^53": (P53 - 4096, P53 + 8),
-    "guard": (GUARD - (1 << 50), 1 << 40),  # the largest universes the kernel takes
-    "u64": ((1 << 64) - (1 << 62), 1 << 50),  # the exact path's alone
+    "guard": (GUARD - (1 << 50), 1 << 40),  # around the largest universe the kernel decodes in int64
+    "u64": ((1 << 64) - (1 << 62), 1 << 50),  # decoded in object dtype
 }
 
 
@@ -50,6 +50,7 @@ def test_bit_lengths_and_unpack_fields():
     assert bit_lengths(np.array(xs, dtype=np.int64)).tolist() == [x.bit_length() for x in xs]
     xs += [1 << 63, (1 << 63) + 1, (1 << 64) - 1025, (1 << 64) - 1]  # uint64 up to 2^64 - 1
     assert bit_lengths(np.array(xs, dtype=np.uint64)).tolist() == [x.bit_length() for x in xs]
+    assert bit_lengths(np.array(xs, dtype=object)).tolist() == [x.bit_length() for x in xs]
     rng = random.Random(11)
     for width in range(64):
         for count in (1, 2, 63, 64, 65, 129):
@@ -77,7 +78,9 @@ def test_values_equal_on_both_paths(n, scale, seed):
     kernel, exact = both_paths(ef.values)
     assert kernel == exact == values
     with patch.object(succinct, "_NUMPY_MIN", ALWAYS):
-        assert (ef.values_array() is None) == (universe > GUARD)
+        whole = ef.values_array()
+    assert whole.tolist() == values
+    assert whole.dtype == (object if universe > GUARD else np.int64)
 
 
 @given(n=st.integers(1, 600), scale=st.sampled_from(sorted(SCALES)), seed=st.integers(0, 1 << 32),
@@ -94,6 +97,6 @@ def test_loaded_container_equal_on_both_paths(n, scale, seed, setting, mode):
     kernel, exact = both_paths(lambda: cls.from_bytes(data))
     value_seq = kernel.y_ef if setting == COMPRESSION else kernel.x
     took_kernel = both_paths(lambda: kernel.value_axis.whole is not None and kernel.value_axis.whole() is not None)
-    assert took_kernel == [isinstance(value_seq, EliasFano) and value_seq.universe <= GUARD, False]
+    assert took_kernel == [isinstance(value_seq, EliasFano), False]
     assert kernel.p_ef.total == exact.p_ef.total == kernel.b_bits.nbits
     assert kernel.decode_all_segments() == exact.decode_all_segments() == pla.segments

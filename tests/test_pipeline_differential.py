@@ -2,7 +2,7 @@
 search draws: build -> to_bytes -> from_bytes in both settings and both
 modes, then every segment decoded and predict at every point.  The
 built epsilon_eff must equal verify_error and the Python-integer reference,
-so that the int64 kernel and its exact path are checked on mixed inputs.
+so that the kernels are checked at both dtypes, int64 and object.
 
 Gaps come from three scales (1-5, 1-1000, 1-2^62, plus up to two single
 huge gaps), and half the sequences end near 2^64 - 1, so that ef reaches

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,27 +17,16 @@ from plastore import (
     encode_c,
     encode_i,
     min_segments_bruteforce,
+    predict_reference,
     verify_error,
 )
+from plastore import pla as pla_module
 from plastore.oracle import min_segments_dp
-from plastore.pla import (
-    _CHUNK,
-    _checked_errors,
-    _exact_anchors,
-    _exact_points,
-    _int64,
-    _int64_slopes,
-    _kernel_anchors,
-    _kernel_errors,
-    _plane_arrays,
-    _plane_views,
-    optimal_spans,
-    round_to_integer_endpoints,
-)
+from plastore.pla import _CHUNK, _checked_errors, optimal_spans, round_to_integer_endpoints, violations
 from plastore.store_compression import CompressedPlaC
 from plastore.store_indexing import CompressedPlaI
 
-from conftest import exact_max_error
+from conftest import exact_anchors, exact_errors, exact_max_error
 
 
 class TestPointSeq:
@@ -47,6 +37,21 @@ class TestPointSeq:
             PointSeq([1, 1, 2])
         with pytest.raises(ValueError):
             PointSeq([1, 2], setting="other")
+
+    def test_refuses_non_integers(self):
+        for values in ([1.5, 2.5, 7.0], [1, 2.0], ["1", "2"], [np.float64(1), np.float64(2)]):
+            with pytest.raises(ValueError, match="values must be integers"):
+                PointSeq(values)
+
+    @pytest.mark.parametrize("setting", [COMPRESSION, INDEXING])
+    def test_numpy_integers_are_python_ints(self, setting):
+        values = list(itertools.accumulate(random.Random(5).randint(1, 30) for _ in range(500)))
+        points = PointSeq(np.array(values, dtype=np.int64), setting=setting)
+        assert points.values == tuple(values) and all(type(v) is int for v in points.values)
+        plain = PointSeq(values, setting=setting)
+        encode = encode_c if setting == COMPRESSION else encode_i
+        assert encode(build_optimal_pla(points, 2), points).to_bytes() == \
+            encode(build_optimal_pla(plain, 2), plain).to_bytes()
 
     def test_plane_mapping(self):
         p = PointSeq([3, 7, 9], setting=COMPRESSION)
@@ -166,12 +171,12 @@ class TestRounding:
             assert verify_error(pla, points) == pla.epsilon_eff
 
     def test_half_rounds_up(self):
-        from plastore.pla import _nearest
-
-        assert _nearest(9, 2) == 5
-        assert _nearest(-9, 2) == -4
-        assert _nearest(46, 10) == 5
-        assert _nearest(44, 10) == 4
+        # slope fixed at 10 over (1, 1), (2, 2): offsets t = y - a*(x-1) are
+        # 1 and -8, so beta = -3.5 -> -3 and gamma = 10 - 3.5 = 6.5 -> 7;
+        # slope 3 over (1, 2), (2, 6): offsets 2 and 3, beta = 2.5 -> 3, gamma = 5.5 -> 6
+        for values, slope, anchors in (([1, 2], 10, (-3, 7)), ([2, 6], 3, (3, 6))):
+            pla = round_to_integer_endpoints([(0, 1)], [(slope, 1, slope, 1)], 8, PointSeq(values))
+            assert (pla.segments[0].intercept, pla.segments[0].final_y) == anchors
 
 
 class TestVerifyError:
@@ -204,6 +209,19 @@ class TestVerifyError:
             with pytest.raises(CoverageError) as exc:
                 verify_error(Pla(segments, pla.epsilon, pla.epsilon_eff, setting), points)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("setting", [COMPRESSION, INDEXING])
+    def test_violations_list_every_point_above_the_bound(self, setting):
+        points = PointSeq(sorted(random.Random(9).sample(range(1, 5000), 400)), setting=setting)
+        pla = build_optimal_pla(points, 2)
+        seg = pla.segments[3]
+        pla.segments[3] = seg._replace(intercept=seg.intercept + 9)
+        xs, ys = points.plane_points()
+        for bound in (0, pla.epsilon_eff):
+            expect = [(x, predict_reference(pla, x), y) for x, y in zip(xs, ys)
+                      if abs(predict_reference(pla, x) - y) > bound]
+            assert violations(pla, points, bound) == expect
+        assert expect  # the raised intercept breaks the bound
 
     def test_greedy_spans_are_maximal(self):
         rng = random.Random(21)
@@ -261,6 +279,24 @@ def _long_segment_values():
     return list(itertools.accumulate(gaps))
 
 
+def kernel_dtypes(points, epsilon):
+    """The dtype of every array each kernel took in one build and one
+    verify_error of `points`: [anchors, errors (build), errors (verify)],
+    each a set, which holds one dtype since the kernels mix none."""
+    seen = []
+
+    def spy(kernel):
+        def run(plane, starts, ends, *args):
+            seen.append({a.dtype for a in (*plane, *args)})
+            return kernel(plane, starts, ends, *args)
+        return run
+
+    with patch.object(pla_module, "_kernel_anchors", spy(pla_module._kernel_anchors)), \
+            patch.object(pla_module, "_kernel_errors", spy(pla_module._kernel_errors)):
+        verify_error(build_optimal_pla(points, epsilon), points)
+    return seen
+
+
 class TestKernel:
     @pytest.mark.parametrize("setting", [COMPRESSION, INDEXING])
     @pytest.mark.parametrize("make", [_mixed_guard_values, _long_segment_values])
@@ -269,23 +305,25 @@ class TestKernel:
         xs, ys = points.plane_points()
         spans, slopes = optimal_spans(xs, ys, 4)
         pla = round_to_integer_endpoints(spans, slopes, 4, points)
-        views = _plane_views(points)
-        anchors = [_exact_anchors(*views, s, e, sl) for (s, e), sl in zip(spans, slopes)]
+        anchors = [exact_anchors(xs, ys, s, e, sl) for (s, e), sl in zip(spans, slopes)]
         assert [(seg.intercept, seg.final_y) for seg in pla.segments] == anchors
-        errors = [max(abs(pred - y) for _, pred, y in _exact_points(*views, s, e, *a))
-                  for (s, e), a in zip(spans, anchors)]
+        errors = exact_errors(pla, points)
         assert _checked_errors(pla, points)[2] == errors
         assert pla.epsilon_eff == max(errors) == exact_max_error(pla, points)
-
-        # which segments the kernels took
-        plane = _plane_arrays(points)
-        starts, ends = np.array(spans, dtype=np.int64).T
-        round_ok = _kernel_anchors(plane, starts, ends, _int64_slopes(slopes))[2]
-        betas, gammas = (_int64([a[k] for a in anchors], len(anchors)) for k in (0, 1))
-        error_ok = _kernel_errors(plane, starts, ends, betas, gammas)[1]
-        if make is _mixed_guard_values:
-            assert round_ok.any() and not round_ok.all()
-            assert error_ok.any() and not error_ok.all()
-        else:
-            assert round_ok.all() and error_ok.all()
+        if make is _long_segment_values:
             assert any(e - s >= _CHUNK and s // _CHUNK != e // _CHUNK for s, e in spans)
+            assert kernel_dtypes(points, 4) == [{np.dtype(np.int64)}] * 3
+
+    @pytest.mark.parametrize("setting", [COMPRESSION, INDEXING])
+    @pytest.mark.parametrize("gap, epsilon", [(40, 4), (200, 16)])
+    def test_dense_input_runs_at_int64(self, setting, gap, epsilon):
+        # the shapes of the benchmark's compress-dense and index-sparse inputs
+        rng = random.Random(gap)
+        points = PointSeq(list(itertools.accumulate(rng.randint(1, gap - 1) for _ in range(20000))), setting=setting)
+        assert kernel_dtypes(points, epsilon) == [{np.dtype(np.int64)}] * 3
+
+    @pytest.mark.parametrize("setting", [COMPRESSION, INDEXING])
+    @pytest.mark.parametrize("name", sorted(BEYOND_INT64) + ["mixed-guard"])
+    def test_out_of_guard_input_runs_as_objects(self, setting, name):
+        values = _mixed_guard_values() if name == "mixed-guard" else BEYOND_INT64[name]
+        assert kernel_dtypes(PointSeq(values, setting=setting), 4) == [{np.dtype(object)}] * 3
