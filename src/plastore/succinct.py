@@ -1,6 +1,8 @@
 """Bit-level building blocks: plain bitvectors with rank/select support,
-fixed-width packed integer arrays, arrays of digits packed in mixed radix,
-and Elias-Fano encoding of monotone integer sequences.
+arrays of digits packed in mixed radix, and Elias-Fano encoding of
+monotone integer sequences.  A fixed-width array is a plain BitVector:
+`pack_fields` writes it, `BitVector.read_field` reads one field and
+`unpack_fields` all of them.
 
 Conventions used throughout the package:
 
@@ -23,27 +25,27 @@ One directory type, ``RankSelectIndex``, serves every bitvector that is
 ranked or selected.  Its rank block counts and select samples are always
 in memory; its owner chooses which are stored.  The rs X bitvector
 stores both, Elias-Fano high bits only the select samples after the
-first.  Load rebuilds every directory from the words (``_load_bits``)
-and refuses a payload whose stored tables differ from the rebuilt ones,
-so no query reads a table that load did not check.  A vector of
-_NUMPY_MIN words or more is loaded in one numpy pass over a view of its
-bytes: the popcount of every word gives the block counts, the count of
-ones and the words that hold the select samples; a shorter one is read
-by ``read_words`` and scanned word by word (``_scan_directory``).  The
+first.  One loader, ``RankSelectIndex.from_bytes_raw``, reads both kinds:
+it rebuilds the directory from the words (``_load_bits``) and refuses a
+payload whose count of ones or stored tables differ from the rebuilt
+ones, so no query reads a table that load did not check.  The
 Elias-Fano predecessor search (``EliasFano.count_at_most``) bisects the
 rank block counts.
 
-Encode writes every bitvector through one numpy path in uint64, so any
-value below 2^64: ``pack_fields`` lays down (value, width) fields from
-their prefix-sum offsets, ORing each into its word and the next with one
-``bitwise_or.reduceat``, and ``RankSelectIndex.from_ones`` builds a
-vector and its whole directory from the sorted one-bit positions, the
-block counts by ``searchsorted`` and the samples every
-SELECT_SAMPLE_RATE-th position, without a scan of the words.  The words
-stay lists of Python ints for the queries.  Encode writes only the words
-that hold a one into a list of zeros, and so does load when few words
-hold one; ``write_words`` serializes words and tables through
-array.array.
+One numpy builder, ``_directory``, makes every directory from the
+nonzero words of a vector and their indices: the block counts from the
+running popcount at each block's first word, the samples from the word
+where it reaches each sampled ordinal.  Encode hands it the words that
+the sorted one-bit positions set (``_word_runs``, as in ``pack_fields``;
+``RankSelectIndex.from_ones``), load the nonzero words of a numpy view
+of a payload of _NUMPY_MIN words or more; a shorter payload is read by
+``read_words`` and scanned word by word (``_scan_directory``).  The
+words stay lists of Python ints for the queries; ``write_words``
+serializes words and tables through array.array.  Encode writes every
+bitvector through one numpy path in uint64, so any value below 2^64:
+``pack_fields`` lays down (value, width) fields from their prefix-sum
+offsets, ORing each into its word and the next with one
+``bitwise_or.reduceat``.
 
 A whole Elias-Fano sequence is decoded either by ``select_run`` in Python
 integers, or by one numpy kernel (``EliasFano.values_array``) when it is
@@ -78,19 +80,18 @@ _BLOCK_WORDS = RANK_BLOCK_BITS // WORD_BITS
 # replace, which are faster on short inputs: the numpy kernel decodes a
 # whole Elias-Fano sequence of at least _NUMPY_MIN values (select_run a
 # shorter one), read_words converts at least _NUMPY_MIN words through
-# numpy, and load reads a ranked or selected vector of at least
-# _NUMPY_MIN words in one numpy pass (_load_bits; read_words and
+# numpy, and load hands a ranked or selected vector of at least
+# _NUMPY_MIN words to _directory (_load_bits; read_words and
 # _scan_directory read a shorter one).  Measured crossovers on a 2-core
-# VM: ~50 values, ~80 words and ~150 words.  The kernel decodes in
+# VM: ~50 values, ~80 words and ~100 words.  The kernel decodes in
 # int64 up to a universe of _INT64_UNIVERSE, which keeps every value it
 # forms, and every difference of two, below 2^62 in magnitude, and in
 # object dtype above it.
 _NUMPY_MIN = 80
 _INT64_UNIVERSE = 1 << 60
-# Load writes the nonzero words into a list of zeros, rather than
-# converting every word, when the rank blocks that hold a one-bit span
-# fewer than one word in _SPARSE_WORDS: writing a word costs about as
-# much as converting that many.
+# _directory writes the nonzero words into a list of zeros, rather than
+# converting every word, when fewer than one word in _SPARSE_WORDS holds
+# a one-bit: writing a word costs about as much as converting that many.
 _SPARSE_WORDS = 8
 
 
@@ -187,19 +188,43 @@ def _word_runs(wi, parts):
 
 def _ones(length: int, positions):
     """(words, directory) of a `length`-bit vector with ones at
-    `positions`, a strictly increasing int64 array in [0, length): the
-    words a list of Python ints, and the directory as _scan_directory
-    gives it, its block counts by searchsorted and its samples every
-    SELECT_SAMPLE_RATE-th position.  Only the words that hold a one are
-    written into a list of zeros: a zeroed uint64 array of the whole
-    length, converted by tolist() and freed, would cost a universe-sized
-    `rs` vector a page fault per 4 KiB on every encode."""
-    words = [0] * ((length + 63) >> 6)
+    `positions`, a strictly increasing int64 array in [0, length), as
+    _directory gives them, from the words that hold a one (_word_runs)."""
     at, ored = _word_runs(positions >> 6, np.uint64(1) << (positions & 63).astype(np.uint64))
-    for i, w in zip(at.tolist(), ored.tolist()):
-        words[i] = w
-    counts = np.searchsorted(positions, np.arange(0, length, RANK_BLOCK_BITS))
-    return words, (counts.tolist(), positions[::SELECT_SAMPLE_RATE].tolist(), len(positions))
+    words, counts, ones, samples = _directory((length + 63) >> 6, at, ored)
+    return words, (counts.tolist(), samples, ones)
+
+
+def _directory(nwords: int, at, words_at):
+    """(words, block counts, count of ones, select samples) of an
+    `nwords`-word vector whose nonzero words are the uint64 `words_at`
+    at the increasing int64 indices `at`, the directory as
+    _scan_directory gives it but with its block counts an int64 array.
+    The words are a list of Python ints: the nonzero ones written into a
+    list of zeros when fewer than one word in _SPARSE_WORDS holds a one
+    (a zeroed uint64 array of a universe-sized `rs` vector, converted by
+    tolist() and freed, would cost a page fault per 4 KiB), otherwise
+    one tolist() of the whole vector.  The block counts are the running
+    popcount before each block's first word, and each sample is
+    _select_in_word in the word where the running popcount reaches its
+    ordinal."""
+    if len(at) * _SPARSE_WORDS < nwords:
+        words = [0] * nwords
+        for i, w in zip(at.tolist(), words_at.tolist()):
+            words[i] = w
+    else:
+        dense = np.zeros(nwords, dtype=np.uint64)
+        dense[at] = words_at
+        words = dense.tolist()
+    ends = np.cumsum(np.bitwise_count(words_at), dtype=np.int64)  # the ones up to each nonzero word
+    before = np.concatenate(([0], ends))
+    counts = before[np.searchsorted(at, np.arange(0, nwords, _BLOCK_WORDS))]
+    ones = int(before[-1])
+    ks = np.arange(1, ones + 1, SELECT_SAMPLE_RATE)
+    i = np.searchsorted(ends, ks)  # the nonzero word holding the k-th one-bit
+    samples = [(wi << 6) + _select_in_word(w, k - c)
+               for wi, w, k, c in zip(at[i].tolist(), words_at[i].tolist(), ks.tolist(), before[i].tolist())]
+    return words, counts, ones, samples
 
 
 def bit_lengths(a):
@@ -343,27 +368,12 @@ def _scan_directory(bv: BitVector):
     return counts, samples, ones
 
 
-def _select_from(words, wi: int, need: int) -> int:
-    """Position of the need-th 1-bit (1-indexed) from word wi on."""
-    while True:
-        w = words[wi]
-        c = w.bit_count()
-        if need <= c:
-            return (wi << 6) + _select_in_word(w, need)
-        need -= c
-        wi += 1
-
-
 def _load_bits(data, off: int, nbits: int):
     """(bitvector, directory, offset after its words, block counts) of the
     `nbits`-bit vector stored from byte `off` of `data`, with the directory
     as _scan_directory gives it and its block counts once more as an int64
-    array; FormatError if `data` is short.  From _NUMPY_MIN words on, one
-    numpy pass over a view of the words gives the popcount of every word
-    and from them the rank block counts, the count of ones and the word
-    holding each sampled one-bit; the words are converted to a list
-    (tolist()), or, when few hold a one, only the nonzero ones are written
-    into a list of zeros, as _ones does."""
+    array; FormatError if `data` is short.  From _NUMPY_MIN words on, the
+    nonzero words of a numpy view of the payload go to _directory."""
     count = (nbits + 63) >> 6
     if count < _NUMPY_MIN:
         words, off = read_words(data, off, count)
@@ -372,31 +382,9 @@ def _load_bits(data, off: int, nbits: int):
         return bv, directory, off, np.array(directory[0], dtype=np.int64)
     end = _words_end(data, off, count, "Q")
     w = np.frombuffer(data, "<u8", count, off)
-    nblocks = -(-count // _BLOCK_WORDS)
-    popcounts = np.zeros(nblocks * _BLOCK_WORDS, dtype=np.uint8)
-    np.bitwise_count(w, out=popcounts[:count])
-    # a rank block's 8 popcounts are one u64, nonzero iff the block holds a one-bit
-    busy = np.flatnonzero(popcounts.view(np.uint64))
-    per_word = popcounts.reshape(nblocks, _BLOCK_WORDS)[busy]
-    del popcounts  # a byte per word, freed before the list of words is made
-    ends = np.cumsum(per_word.sum(1, dtype=np.int64))
-    ones = int(ends[-1]) if len(ends) else 0
-    # blocks busy[i - 1] + 1 through busy[i] count ends[i - 1], the ones before them
-    runs = np.diff(np.concatenate(([-1], busy, [nblocks - 1])))
-    block_counts = np.repeat(np.concatenate(([0], ends)), runs)
-    counts = block_counts.tolist()
-    if len(busy) * _BLOCK_WORDS * _SPARSE_WORDS < count:
-        nonzero = (busy[:, None] * _BLOCK_WORDS + np.arange(_BLOCK_WORDS)).ravel()[per_word.ravel() != 0]
-        words = [0] * count
-        for i, v in zip(nonzero.tolist(), w[nonzero].tolist()):
-            words[i] = v
-    else:
-        words = w.tolist()
-    ks = np.arange(1, ones + 1, SELECT_SAMPLE_RATE)
-    # the k-th one-bit sits in the first busy block whose cumulative count reaches k
-    at = busy[np.searchsorted(ends, ks)].tolist()
-    samples = [_select_from(words, b * _BLOCK_WORDS, k - counts[b]) for k, b in zip(ks.tolist(), at)]
-    return BitVector(words, nbits), (counts, samples, ones), end, block_counts
+    at = np.flatnonzero(w != 0)  # several times faster than flatnonzero(w) on uint64
+    words, counts, ones, samples = _directory(count, at, w[at])
+    return BitVector(words, nbits), (counts.tolist(), samples, ones), end, counts
 
 
 class RankSelectIndex(Stored):
@@ -527,63 +515,31 @@ class RankSelectIndex(Stored):
         return (self.owner,), (self.block_counts, self.samples[1:])
 
     @classmethod
-    def from_bytes_raw(cls, data, off: int, nbits: int, ones: int):
+    def from_bytes_raw(cls, data, off: int, nbits: int, ones: int, counts_stored: bool = True):
         """The directory over an `nbits`-bit vector holding `ones` one-bits,
-        rebuilt from the words (_load_bits) and checked against both stored
-        tables.  FormatError if the vector holds another count of ones, if
-        a stored block count differs from the ones before its block, or if
-        a stored sample differs from the position of its one-bit."""
+        rebuilt from the words (_load_bits) and checked against the stored
+        tables: the block counts if `counts_stored`, then the samples after
+        the first.  FormatError if the vector holds another count of ones,
+        if a stored block count differs from the ones before its block, or
+        if a stored sample differs from the position of its one-bit."""
         owner, directory, off, rebuilt = _load_bits(data, off, nbits)
         counts, samples, total = directory
         if total != ones:
             raise _ones_error(ones)
-        end = _words_end(data, off, len(counts), "I")
-        stored = np.frombuffer(data, "<u4", len(counts), off)
-        differ = stored != rebuilt
-        if differ.any():
-            b = int(differ.argmax())
-            raise FormatError(f"rank block count {b} is {stored[b]}, but {counts[b]} one-bits precede its block")
-        stored, off = read_words(data, end, len(samples[1:]), "I")
+        if counts_stored:
+            end = _words_end(data, off, len(counts), "I")
+            stored = np.frombuffer(data, "<u4", len(counts), off)
+            differ = stored != rebuilt
+            if differ.any():
+                b = int(differ.argmax())
+                raise FormatError(f"rank block count {b} is {stored[b]}, but {counts[b]} one-bits precede its block")
+            off = end
+        stored, off = read_words(data, off, len(samples[1:]), "I")
         if stored != samples[1:]:
             j = next(j for j, (pos, want) in enumerate(zip(stored, samples[1:]), 1) if pos != want)
-            raise FormatError(f"select sample {j} at {stored[j - 1]} is not the one-bit the block counts rank "
-                              f"{j * SELECT_SAMPLE_RATE}")
+            raise FormatError(f"select samples differ from the one-bits: sample {j} is {stored[j - 1]}, but one-bit "
+                              f"{j * SELECT_SAMPLE_RATE + 1} sits at {samples[j]}")
         return cls(owner, directory), off
-
-
-class PackedIntArray(Stored):
-    """Immutable array of fixed-width non-negative integers, concatenated
-    in one bitvector."""
-
-    __slots__ = ("width", "count", "bits")
-
-    def __init__(self, width: int, count: int, bits: BitVector):
-        self.width = width
-        self.count = count
-        self.bits = bits
-
-    @classmethod
-    def from_values(cls, values, width: int) -> "PackedIntArray":
-        """`values` (a uint64 array or a sequence of ints) in `width` bits
-        each (pack_fields)."""
-        return cls(width, len(values), BitVector(*pack_fields(values, width)))
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.count:
-            raise IndexError(f"index {i} out of range [0, {self.count})")
-        width = self.width
-        return self.bits.read_field(i * width, width)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def _parts(self):
-        return (self.bits,), ()
-
-    @classmethod
-    def from_bytes_raw(cls, data, off: int, count: int, width: int):
-        bits, off = BitVector.from_bytes_raw(data, off, count * width)
-        return cls(width, count, bits), off
 
 
 class MixedRadixArray(Stored):
@@ -592,9 +548,9 @@ class MixedRadixArray(Stored):
     j < K, in (radix^K - 1).bit_length() bits, and a short last group of
     r digits takes (radix^r - 1).bit_length() bits.  K is the largest
     k >= 1 with radix^k <= 2^64 (1 for radix 1), so every group fits a
-    uint64 and encode forms each exactly; K = 1 lays the digits down in
-    bit_length(radix - 1) bits each, like a PackedIntArray.  A digit is
-    one read of its group and (group // radix^j) % radix.
+    uint64 and encode forms each exactly; K = 1 lays the digits down as
+    plain fields of bit_length(radix - 1) bits.  A digit is one read of
+    its group and (group // radix^j) % radix.
 
     Load does not read the groups.  `group` refuses one at or above
     radix^K (radix^r for the last group) with FormatError, so every read
@@ -675,9 +631,10 @@ class MixedRadixArray(Stored):
 class EliasFano(Stored):
     """Elias-Fano encoding of a non-decreasing integer sequence.
 
-    Each value v < universe splits into `low_width` low bits, stored
-    packed, and a high part encoded in unary in the bitvector of
-    `high_rs`: the k-th value (0-indexed) sets bit (v >> low_width) + k.
+    Each value v < universe splits into `low_width` low bits, the k-th
+    value's (0-indexed) at bit k * low_width of the BitVector `lows`, and
+    a high part encoded in unary in the bitvector of `high_rs`: the k-th
+    value sets bit (v >> low_width) + k.
     select is one select1 on the high bits plus one packed read.
     count_at_most, the predecessor search, bounds every value from below
     by its high part, read from the rank directory and at most one rank
@@ -701,7 +658,7 @@ class EliasFano(Stored):
 
     @classmethod
     def _empty(cls, universe):
-        return cls(0, universe, 0, PackedIntArray(0, 0, BitVector([], 0)), RankSelectIndex(BitVector([], 0)))
+        return cls(0, universe, 0, BitVector([], 0), RankSelectIndex(BitVector([], 0)))
 
     @staticmethod
     def shape(n: int, universe: int):
@@ -725,20 +682,17 @@ class EliasFano(Stored):
             raise ValueError("universe must be >= 1")
         if universe > 1 << 64:
             raise ValueError(f"universe {universe} exceeds 2^64")
-        a = None
-        if min(values) >= 0 and max(values) < universe:  # checked before the conversion
-            a = np.array(values, dtype=np.uint64)
-        if a is None or (a[1:] < a[:-1]).any():
-            for v, prev in zip(values, [0] + values):  # the first value out of order or out of range
-                if v < prev:
-                    raise ValueError("sequence must be non-decreasing")
-                if v >= universe:
-                    raise ValueError(f"value {v} outside [0, {universe})")
+        if min(values) < 0 or max(values) >= universe:  # checked before the conversion
+            v = next(v for v in values if not 0 <= v < universe)
+            raise ValueError(f"value {v} outside [0, {universe})")
+        a = np.array(values, dtype=np.uint64)
+        if (a[1:] < a[:-1]).any():
+            raise ValueError("sequence must be non-decreasing")
         lw, high_len = cls.shape(n, universe)
         # the high parts shifted in two steps: lw may be 64, and a shift by 64 is undefined
         highs = (a >> np.uint64(lw // 2)) >> np.uint64(lw - lw // 2)
         words, directory = _ones(high_len, highs.astype(np.int64) + np.arange(n))
-        lows = PackedIntArray.from_values(a & np.uint64((1 << lw) - 1), lw)
+        lows = BitVector(*pack_fields(a & np.uint64((1 << lw) - 1), lw))
         return cls(n, universe, lw, lows, RankSelectIndex(BitVector(words, high_len), directory))
 
     def select(self, k: int) -> int:
@@ -746,7 +700,7 @@ class EliasFano(Stored):
         if not 1 <= k <= self.n_values:
             raise IndexError(f"ordinal {k} out of range [1, {self.n_values}]")
         lw = self.low_width
-        return ((self.high_rs.select1(k) - (k - 1)) << lw) | self.lows.bits.read_field((k - 1) * lw, lw)
+        return ((self.high_rs.select1(k) - (k - 1)) << lw) | self.lows.read_field((k - 1) * lw, lw)
 
     def select_run(self, k: int, count: int) -> list:
         """Values k to k+count-1 (1-indexed): one select run on the high
@@ -755,7 +709,7 @@ class EliasFano(Stored):
         highs = iter(self.high_rs.select_run(k, count))
         lw = self.low_width
         mask = (1 << lw) - 1
-        read = self.lows.bits.read_field
+        read = self.lows.read_field
         out = []
         j = k - 1
         end = j + count
@@ -862,7 +816,7 @@ class EliasFano(Stored):
             return None
         high = np.array(self.high_rs.owner.words, dtype="<u8").view(np.uint8)
         highs = np.flatnonzero(np.unpackbits(high, bitorder="little"))[:n] - np.arange(n)
-        lows = unpack_fields(self.lows.bits.words, n, self.low_width)
+        lows = unpack_fields(self.lows.words, n, self.low_width)
         if self.universe > _INT64_UNIVERSE:
             highs, lows = highs.astype(object), lows.astype(object)
         return (highs << self.low_width) | lows
@@ -877,19 +831,13 @@ class EliasFano(Stored):
     # -- serialization ----------------------------------------------------
 
     def _parts(self):
-        return (self.lows.bits, self.high_rs.owner), (self.high_rs.samples[1:],)
+        return (self.lows, self.high_rs.owner), (self.high_rs.samples[1:],)
 
     @classmethod
     def from_bytes_raw(cls, data, off: int, n_values: int, universe: int):
         if n_values == 0:
             return cls._empty(universe), off
         lw, high_len = cls.shape(n_values, universe)
-        lows, off = PackedIntArray.from_bytes_raw(data, off, n_values, lw)
-        high, directory, off, _ = _load_bits(data, off, high_len)
-        _, samples, ones = directory
-        if ones != n_values:
-            raise _ones_error(n_values)
-        stored, off = read_words(data, off, len(samples) - 1, "I")
-        if stored != samples[1:]:
-            raise FormatError("Elias-Fano select samples differ from the high bits")
-        return cls(n_values, universe, lw, lows, RankSelectIndex(high, directory)), off
+        lows, off = BitVector.from_bytes_raw(data, off, n_values * lw)
+        high_rs, off = RankSelectIndex.from_bytes_raw(data, off, high_len, n_values, counts_stored=False)
+        return cls(n_values, universe, lw, lows, high_rs), off

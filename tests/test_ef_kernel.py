@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, PointSeq, build_optimal_pla, succinct
 from plastore.store_compression import CompressedPlaC, encode_c
 from plastore.store_indexing import CompressedPlaI, encode_i
-from plastore.succinct import EliasFano, PackedIntArray, bit_lengths, unpack_fields
+from plastore.succinct import EliasFano, bit_lengths, pack_fields, unpack_fields
 
 ALWAYS, NEVER = 1, 1 << 40  # crossovers that force the kernel, or the exact path
 CODECS = {COMPRESSION: (encode_c, CompressedPlaC), INDEXING: (encode_i, CompressedPlaI)}
@@ -55,8 +55,8 @@ def test_bit_lengths_and_unpack_fields():
     for width in range(64):
         for count in (1, 2, 63, 64, 65, 129):
             fields = [rng.randrange(1 << width) for _ in range(count)]
-            packed = PackedIntArray.from_values(fields, width)
-            assert unpack_fields(packed.bits.words, count, width).tolist() == fields, (width, count)
+            words, _ = pack_fields(fields, width)
+            assert unpack_fields(words, count, width).tolist() == fields, (width, count)
 
 
 def both_paths(read):

@@ -167,7 +167,7 @@ def test_elias_fano_trimmed_directory_round_trip(n):
         assert len(ef.high_rs.samples) == nsamples
         assert ef.aux_bits() == 32 * (nsamples - 1)
         raw = ef.to_bytes_raw()
-        assert len(raw) == 8 * (len(ef.lows.bits.words) + len(ef.high_rs.owner.words)) + 4 * (nsamples - 1)
+        assert len(raw) == 8 * (len(ef.lows.words) + len(ef.high_rs.owner.words)) + 4 * (nsamples - 1)
         ef2, off = EliasFano.from_bytes_raw(raw, 0, n, universe)
         assert off == len(raw)
         assert ef2.high_rs.samples == ef.high_rs.samples

@@ -9,8 +9,8 @@ from plastore.container import ProbeCounter
 from plastore.succinct import (
     BitVector,
     EliasFano,
-    PackedIntArray,
     RankSelectIndex,
+    pack_fields,
 )
 
 # shift 0 (pred), 1 (compression's position axis), 2*epsilon - 1 for
@@ -101,12 +101,12 @@ class TestBitOps:
         rng = random.Random(3)
         for width in (0, 1, 3, 13, 64):
             vals = [rng.randrange(1 << width) if width else 0 for _ in range(97)]
-            arr = PackedIntArray.from_values(vals, width)
-            assert [arr.get(i) for i in range(len(vals))] == vals
+            arr = BitVector(*pack_fields(vals, width))
+            assert [arr.read_field(i * width, width) for i in range(len(vals))] == vals
             data = arr.to_bytes_raw()
-            arr2, off = PackedIntArray.from_bytes_raw(data, 0, len(vals), width)
+            arr2, off = BitVector.from_bytes_raw(data, 0, len(vals) * width)
             assert off == len(data)
-            assert [arr2.get(i) for i in range(len(vals))] == vals
+            assert [arr2.read_field(i * width, width) for i in range(len(vals))] == vals
 
     def test_bitvector_serialization_bit_exact(self):
         bits = [1, 0, 1, 1, 0, 1] * 33
@@ -142,10 +142,15 @@ class TestEliasFano:
             ef.select(4)
 
     def test_encode_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sequence must be non-decreasing"):
             EliasFano.encode([3, 2], 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"value 5 outside \[0, 5\)"):
             EliasFano.encode([1, 5], 5)
+        # the range is checked before the order
+        with pytest.raises(ValueError, match=r"value -1 outside \[0, 5\)"):
+            EliasFano.encode([-1, 2], 5)
+        with pytest.raises(ValueError, match=r"value 9 outside \[0, 5\)"):
+            EliasFano.encode([3, 2, 9], 5)
 
     def test_pred_hand(self):
         ef = EliasFano.encode([2, 3, 5, 7, 11], 12)

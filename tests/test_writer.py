@@ -22,8 +22,8 @@ from plastore import (COMPRESSION, INDEXING, MODE_EF, MODE_RS, Pla, PointSeq, Se
 from plastore.container import zigzag
 from plastore.store_compression import CompressedPlaC
 from plastore.store_indexing import CompressedPlaI
-from plastore.succinct import (SELECT_SAMPLE_RATE, BitVector, EliasFano, MixedRadixArray, PackedIntArray,
-                               RankSelectIndex, _scan_directory, pack_fields, read_words, write_words)
+from plastore.succinct import (SELECT_SAMPLE_RATE, BitVector, EliasFano, MixedRadixArray, RankSelectIndex,
+                               _scan_directory, pack_fields, read_words, write_words)
 
 ENCODE = {COMPRESSION: encode_c, INDEXING: encode_i}
 WIDTHS = st.sampled_from((0, 1, 63, 64)) | st.integers(0, 64)
@@ -68,9 +68,9 @@ def test_writer_matches_reference(fields):
 def test_one_width_matches_reference(width, count, seed):
     rng = random.Random(seed)
     values = [rng.choice((0, (1 << width) - 1, rng.randrange(1 << width))) for _ in range(count)]
-    arr = PackedIntArray.from_values(values, width)
-    assert (arr.bits.words, arr.bits.nbits) == reference_from_fields([(v, width) for v in values])
-    assert PackedIntArray.from_values(np.array(values, dtype=np.uint64), width).bits.words == arr.bits.words
+    words, nbits = pack_fields(values, width)
+    assert (words, nbits) == reference_from_fields([(v, width) for v in values])
+    assert pack_fields(np.array(values, dtype=np.uint64), width) == (words, nbits)
 
 
 RADIXES = (1, 2, 3, 5, 37, 255, (1 << 32) + 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 65) + 7)
@@ -179,10 +179,43 @@ def test_loaded_directory_matches_scan(ones, bits_per_one, length_pad, numpy_min
         ef2, off = EliasFano.from_bytes_raw(raw, 0, ones, length)
         assert off == len(raw) and loaded(ef2.high_rs) == loaded(ef.high_rs)
         if ones:
-            assert loaded(ef2.high_rs) == scanned(raw, 8 * len(ef.lows.bits.words), ef.high_rs.owner.nbits)
+            assert loaded(ef2.high_rs) == scanned(raw, 8 * len(ef.lows.words), ef.high_rs.owner.nbits)
     for index in (rs2, ef2.high_rs):
         words, (counts, samples, total) = loaded(index)
         assert all(type(v) is int for v in words + counts + samples + [total])
+
+
+@pytest.mark.parametrize("nwords", (128, 1000, 1003))
+@pytest.mark.parametrize("more", (-1, 0, 1))
+def test_directory_on_both_sides_of_the_sparse_words_branch(nwords, more):
+    # _directory writes the nonzero words into a list of zeros while fewer
+    # than one word in 8 holds a one, and converts the whole vector
+    # otherwise: nwords // 8 - 1, nwords // 8 and nwords // 8 + 1 nonzero
+    # words, most full, some with one or a few one-bits, so that there are
+    # samples after the first
+    assert nwords >= succinct._NUMPY_MIN
+    rng = random.Random(nwords * 3 + more)
+    length = 64 * nwords - 5
+    nonzero = sorted(rng.sample(range(nwords - 1), nwords // 8 + more))
+    positions = []
+    for i, wi in enumerate(nonzero):
+        bits = rng.sample(range(64), 1 if i % 2 else rng.randrange(2, 64)) if i % 3 == 1 else range(64)
+        positions += sorted((wi << 6) + b for b in bits)
+    ones = len(positions)
+    assert ones > SELECT_SAMPLE_RATE
+    words = reference_from_ones(length, positions)
+    directory = _scan_directory(BitVector(words, length))
+    rs = RankSelectIndex.from_ones(length, positions)
+    raw = rs.to_bytes_raw()
+    loaded_rs, off = RankSelectIndex.from_bytes_raw(raw, 0, length, ones)
+    assert off == len(raw)
+    # the same words and samples without the block counts, as an Elias-Fano sequence stores its high bits
+    without_counts = raw[:8 * nwords] + raw[8 * nwords + 4 * len(rs.block_counts):]
+    loaded_high, off = RankSelectIndex.from_bytes_raw(without_counts, 0, length, ones, counts_stored=False)
+    assert off == len(without_counts)
+    for index in (rs, loaded_rs, loaded_high):
+        assert loaded(index) == (words, directory)
+        assert all(type(v) is int for v in index.owner.words + index.block_counts + index.samples + [index.total_ones])
 
 
 def test_rs_load_takes_one_list_of_words():
