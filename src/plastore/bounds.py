@@ -2,15 +2,19 @@
 bounds, and the baseline space formulas of the two reference structures,
 plus redundancy reporting against measured container sizes.
 
-Counts are exact arbitrary-precision integers; logarithms are taken from
-the exact values (never from floating intermediates), so the log-space
-cross-checks hold to ~1e-12 relative error.
+Counts are exact arbitrary-precision integers.  The lower bounds' binomial
+terms are evaluated by `_log2_comb`, which returns the same float as the
+log2 of the exact binomial: it reads the binomial's top 64 bits from a
+Stirling series, and from the exact integer when the series cannot settle
+them.  So the log-space cross-checks hold to ~1e-12 relative error.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import asdict, dataclass, field
+from decimal import Decimal
 
 from .container import BitBudget
 from .pla import COMPRESSION, INDEXING
@@ -35,9 +39,70 @@ def log2_big(x: int) -> float:
 
 
 def log2_binomial(m: int, k: int) -> float:
-    """log2 of C(m, k), from the exact binomial."""
+    """log2 of C(m, k), equal to `log2_big(math.comb(m, k))` (see `_log2_comb`)."""
     if k < 0 or k > m:
         raise ValueError(f"binomial domain error: C({m}, {k})")
+    return _log2_comb(m, k)
+
+
+_CONST_DIGITS = 120
+_PI = ("3.14159265358979323846264338327950288419716939937510582097494459"
+       "230781640628620899862803482534211706798214808651328230664709384460955058")
+with decimal.localcontext(decimal.Context(prec=_CONST_DIGITS)):
+    _LN2 = Decimal(2).ln()
+    _HALF_LN_2PI = (2 * Decimal(_PI)).ln() / 2
+    # B_2j / (2j * (2j - 1)) for j = 1..8, the Stirling series' coefficients.
+    _STIRLING = tuple(
+        Decimal(b) / Decimal(d * 2 * j * (2 * j - 1))
+        for j, (b, d) in enumerate(
+            ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510)), 1)
+    )
+# |B_18| / (18 * 17 * 64**17) = 3.543e-32, rounded up: the first dropped term at n >= 64.
+_LN_FACT_TAIL = 3.6e-32
+
+
+def _ln_fact(n: int) -> Decimal:
+    """ln n! from the Stirling series, in the current decimal context."""
+    n = Decimal(n)
+    r = 1 / n
+    r2, s = r * r, Decimal(0)
+    for c in reversed(_STIRLING):
+        s = s * r2 + c
+    return (n + Decimal("0.5")) * n.ln() - n + _HALF_LN_2PI + s * r
+
+
+def _log2_comb(m: int, k: int) -> float:
+    """log2 C(m, k) for 0 <= k <= m: the very float `log2_big(math.comb(m, k))`.
+
+    That float is math.log2(top) + shift, with top = floor(C / 2**shift) in
+    [2**63, 2**64).  When min(k, m - k) >= 64, top is read from
+    t = exp(ln C - shift * ln 2), where ln C = ln m! - ln k! - ln (m-k)!
+    comes from the Stirling series at P = digits(m) + 40 decimal digits.
+
+    Error: the series' remainder on each ln n! (n >= 64) is below its first
+    dropped term, _LN_FACT_TAIL.  The rounding is below
+    rho = 100 * (m+1) * ln(m) / 10**P: about 18 steps (ln, product, sums,
+    shift * ln 2) round a value no larger than (m+1) * ln(m) by at most
+    5 / 10**P of it, the rest round values below 45, and decimal's ln and
+    exp are correctly rounded (the constants carry 120 digits; m of more
+    than 60 digits takes the exact path, so P <= 100).  So the exponent is off by less than 3 * (tail + rho), and
+    t by less than margin = 3 * top * (tail + rho).  When t's fractional
+    part is farther than margin from an integer, floor(t) is the exact
+    quotient's floor; if that lies in [2**63, 2**64), it is top, and
+    otherwise the rounded ln C / ln 2 put shift one off.  Every other case,
+    small k included, takes the exact binomial.
+    """
+    prec = len(str(m)) + 40
+    if min(k, m - k) >= 64 and prec <= _CONST_DIGITS - 20:
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            ln_c = _ln_fact(m) - _ln_fact(k) - _ln_fact(m - k)
+            shift = int(ln_c / _LN2) - 63
+            t = (ln_c - shift * _LN2).exp()
+            top = int(t)
+            frac = float(t - top)
+        margin = 3 * top * (_LN_FACT_TAIL + 100 * (m + 1) * math.log(m) / 10**prec)
+        if 2**63 <= top < 2**64 and margin < frac < 1 - margin:
+            return math.log2(top) + shift
     return log2_big(math.comb(m, k))
 
 
@@ -153,8 +218,10 @@ def lower_bound_i(ell, epsilon, u, n, x, strict=True) -> float:
 
 
 def _log2_comb_or_zero(m: int, k: int) -> float:
-    c = _comb(m, k)
-    return log2_big(c) if c > 0 else 0.0
+    """log2 C(m, k), and 0.0 outside the triangle, where `_comb` is zero."""
+    if k < 0 or m < 0 or k > m:
+        return 0.0
+    return _log2_comb(m, k)
 
 
 def _directory_bits(m: int) -> float:

@@ -1,7 +1,9 @@
+import decimal
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from plastore import (
@@ -21,7 +23,8 @@ from plastore import (
     lower_bound_i,
     redundancy_report,
 )
-from plastore.bounds import conditional_count_c, conditional_count_i, log2_big
+from plastore import bounds
+from plastore.bounds import _log2_comb, conditional_count_c, conditional_count_i, log2_big
 
 
 class TestLog2Binomial:
@@ -220,3 +223,105 @@ class TestRedundancyReport:
             assert abs(rep.redundancy_per_segment * rep.ell - rep.redundancy_bits) < 1e-6
             text = rep.as_text()
             assert f"ell={rep.ell}" in text and "lower_bound_bits=" in text
+
+
+def _exact_log2_comb(m, k):
+    return log2_big(math.comb(m, k))
+
+
+def _edge_pairs():
+    """(m, k) pairs at the edges of _log2_comb's fast path."""
+    pairs = []
+    for m in (127, 128, 129, 130, 200, 1000, 33690, 2**40 + 3):
+        for side in (63, 64, 65):
+            pairs += [(m, side), (m, m - side)]
+    for m in (128, 129, 130, 1000, 4097, 60000):
+        pairs += [(m, m // 2 - 1), (m, m // 2), (m, m // 2 + 1)]
+    for j in range(7, 17):
+        for m in (2**j - 1, 2**j, 2**j + 1):
+            pairs += [(m, 64), (m, m // 3), (m, m // 2)]
+    for m in (2**64 - 2**10, 2**64 - 1, 2**64, 2**64 + 1, 2**64 + 2**10):
+        pairs += [(m, k) for k in range(64, 201)]
+    pairs += [(33690, 16308), (1015304, 16309), (50000, 16309)]  # compress-dense's binomials
+    rng = random.Random(2024)
+    for _ in range(300):
+        m = rng.randrange(1, 60001)
+        pairs.append((m, rng.randrange(0, m + 1)))
+    return pairs
+
+
+class TestLog2CombFastPath:
+    """_log2_comb must return exactly log2_big(math.comb(m, k)), bit for bit."""
+
+    def test_equals_exact_at_edges(self):
+        for m, k in _edge_pairs():
+            assert _log2_comb(m, k) == _exact_log2_comb(m, k), (m, k)
+
+    def test_ln_fact_within_the_tail_bound(self):
+        # ln n! against the correctly rounded log of the exact factorial, at 60 digits:
+        # off by less than the first dropped term, |B_18| / (18 * 17 * n**17)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            for n in (64, 65, 100, 1000, 3000):
+                tail = decimal.Decimal(43867 / 798 / (18 * 17) / n**17) + decimal.Decimal("1e-50")
+                err = abs(bounds._ln_fact(n) - decimal.Decimal(math.factorial(n)).ln())
+                assert err < tail, (n, err)
+        assert bounds._LN_FACT_TAIL > 43867 / 798 / (18 * 17) / 64**17
+
+    def test_forced_fallback_gives_the_same_floats(self, monkeypatch):
+        pairs = _edge_pairs()[::7]
+        fast = [_log2_comb(m, k) for m, k in pairs]
+        calls = []
+
+        def counting_log2_big(x):
+            calls.append(x)
+            return log2_big(x)
+
+        monkeypatch.setattr(bounds, "_LN_FACT_TAIL", 1.0)  # margin > 1: no fractional part is safe
+        monkeypatch.setattr(bounds, "log2_big", counting_log2_big)
+        assert [_log2_comb(m, k) for m, k in pairs] == fast
+        assert len(calls) == len(pairs)
+
+    def test_report_equals_exact_binomials(self, monkeypatch):
+        # compress-dense's shape: n = 5e4, geometric gaps of mean 20, epsilon 4
+        values = np.cumsum(np.random.default_rng(41).geometric(1 / 20, size=50_000)).tolist()
+        points = PointSeq(values, setting=COMPRESSION)
+        pla = build_optimal_pla(points, 4)
+        reports = []
+        for mode in ("ef", "rs"):
+            store = encode_c(pla, points, mode)
+            params = {
+                "ell": store.ell, "n": store.n, "u": store.u,
+                "epsilon": store.epsilon, "epsilon_eff": store.epsilon_eff,
+                "y": [s.first_y for s in pla.segments],
+            }
+            reports.append((store.size_bits(), params))
+        with monkeypatch.context() as patch:
+            patch.delattr(bounds, "log2_big")  # every binomial here takes the fast path
+            fast = [redundancy_report(b, p, COMPRESSION).as_dict() for b, p in reports]
+        monkeypatch.setattr(bounds, "_log2_comb", _exact_log2_comb)
+        assert [redundancy_report(b, p, COMPRESSION).as_dict() for b, p in reports] == fast
+
+
+class TestDegenerateTerms:
+    """strict=False bounds add 0.0 for a binomial outside the triangle."""
+
+    def test_lower_bound_c(self):
+        ell, eps, u = 100, 3, 10**6
+        y = tuple(range(1, 10 * ell + 1, 10))
+        for n in (2 * ell - 1, ell):  # C(n - ell - 1, ell - 1) with k > m, then m < 0
+            expect = _exact_log2_comb(u + ell - 1, ell)
+            for i in range(ell - 1):
+                expect += math.log2(y[i + 1] - y[i] + 1)
+            expect += 2 * ell * math.log2(2 * eps + 1)
+            assert lower_bound_c(ell, eps, u, n, y, strict=False) == expect
+
+    def test_lower_bound_i(self):
+        ell, u, n = 100, 10**6, 500
+        x = tuple(range(1, 100 * ell + 1, 100))
+        for eps in (3, 10**4):  # C(n - ell*(2eps-1) - 1, ell - 1) has m < 0; then C(u - ell*(2eps-1), ell) too
+            top = u - ell * (2 * eps - 1)
+            expect = _exact_log2_comb(top, ell) if top >= ell else 0.0
+            for i in range(ell - 1):
+                expect += math.log2(x[i + 1] - x[i] - 1)
+            expect += 2 * ell * math.log2(2 * eps + 1)
+            assert lower_bound_i(ell, eps, u, n, x, strict=False) == expect
