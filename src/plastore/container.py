@@ -39,19 +39,22 @@ value the other components determine (the first select sample of a
 directory, the offsets of the B fields, the total length of B).  Format
 version 2 stored every 8th B offset as a sixth component, P, and each
 delta in a w_delta-bit field of its own; load refuses it.
+
+Encode (`from_pla`) reads the segments once, into six int64 or object
+columns (pla.segment_columns), and derives every component from them by
+column arithmetic; `to_bytes` writes the file in one join.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from itertools import accumulate, count, repeat
-from operator import itemgetter, sub
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import FormatError
-from .pla import Segment, interpolate
+from .pla import Segment, interpolate, segment_columns
 from .succinct import BitVector, EliasFano, MixedRadixArray, RankSelectIndex, bit_lengths, pack_fields, read_words
 
 FORMAT_VERSION = 3
@@ -78,10 +81,10 @@ def zigzag(d: int) -> int:
 def check_pairs(rules):
     """Raise the message of the first rule broken, checking the pairs of
     consecutive segments in order and each pair's rules in the order
-    listed: `rules` is a list of (message, broken), where broken[i] is
-    true if segment pair i breaks the rule."""
-    if any(any(broken) for _, broken in rules):
-        broken = np.array([b for _, b in rules], dtype=bool)
+    listed: `rules` is a list of (message, broken), where broken is a
+    boolean array, true at i if segment pair i breaks the rule."""
+    if any(broken.any() for _, broken in rules):
+        broken = np.stack([b for _, b in rules])
         i = int(broken.any(axis=0).argmax())  # the first pair that breaks a rule
         raise ValueError(rules[int(broken[:, i].argmax())][0])
 
@@ -310,9 +313,10 @@ class Axis:
         return max(1, self.end - self.shift * (ell - 1) + 1 - self.skip)
 
     def encode(self, coords):
-        skip, shift = self.skip, self.shift
-        return EliasFano.encode(list(map(sub, coords[skip:], count(shift * skip + skip, shift))),
-                                self.universe(len(coords)))
+        """The Elias-Fano sequence of a column of all ell coordinates."""
+        skip = self.skip
+        steps = np.arange(skip, len(coords)).astype(coords.dtype)
+        return EliasFano.encode(coords[skip:] - self.shift * steps - skip, self.universe(len(coords)))
 
     def bind(self, ef):
         """This axis read from its Elias-Fano sequence."""
@@ -422,38 +426,36 @@ class PlaContainer:
             raise ValueError(f"epsilon {pla.epsilon} is below 1")
         if pla.epsilon_eff > pla.epsilon + 3:
             raise ValueError(f"epsilon_eff {pla.epsilon_eff} exceeds epsilon + 3 = {pla.epsilon + 3}")
-        # the segment columns, each a list of ints (zip(*segments) would
-        # allocate a tracked iterator per segment and wake the collector)
-        fx, lx, beta, gamma, fy, ly = [list(map(itemgetter(k), pla.segments)) for k in range(6)]
+        # the segment columns; u and 2*epsilon*ell, above every shift*(i - 1), join the int64 guard
+        fx, lx, beta, gamma, fy, ly = segment_columns(pla.segments, u, 2 * pla.epsilon * ell)
         cls.check_segments(fx, lx, fy, ly, n, u, pla.epsilon)
 
         xr, yr = cls.axis_rules(n, u, pla.epsilon)
         if mode == MODE_EF:
             x = xr.encode(fx)
         else:
-            x_len = max(xr.end - xr.shift, fx[-1]) if cls.VALUE_AXIS == "x" else max(0, xr.end - xr.skip)
+            x_len = max(xr.end - xr.shift, int(fx[-1])) if cls.VALUE_AXIS == "x" else max(0, xr.end - xr.skip)
             if x_len >> 32:  # its length and select samples are stored as u32
                 raise ValueError(f"rs bitvector of {x_len} bits exceeds the format's 2^32 - 1; use ef mode")
-            x = RankSelectIndex.from_ones(x_len, map(sub, fx[xr.skip:], repeat(1 + xr.skip)))
+            x = RankSelectIndex.from_ones(x_len, fx[xr.skip:] - (1 + xr.skip))
         store = cls(mode, header, x, yr.encode(fy))
 
         # once the value axis is encoded, its coordinates lie in [0, 2^64)
         # and its gaps are at least 2b, so the uint64 widths cannot wrap
         firsts, lasts = (fx, lx) if cls.VALUE_AXIS == "x" else (fy, ly)
         b = cls.B_BIAS
-        widths = bit_lengths(np.diff(np.array(firsts, dtype=np.uint64)) - np.uint64(2 * b))
-        values = list(map(sub, map(sub, lasts[:-1], firsts), repeat(b)))  # v'_i - v_i - b
-        store.b_bits = BitVector(*pack_fields(values, widths))
+        widths = bit_lengths(np.diff(firsts.astype(np.uint64)) - np.uint64(2 * b))
+        store.b_bits = BitVector(*pack_fields(lasts[:-1] - firsts[:-1] - b, widths))  # v'_i - v_i - b
         store.p_ef = FieldOffsets.from_ends(np.cumsum(widths), *store.field_coords())
 
-        deltas = list(map(sub, beta, fy)) + list(map(sub, gamma, ly))
-        lo, hi = min(deltas), max(deltas)
+        deltas = np.concatenate((beta - fy, gamma - ly))
+        lo, hi = int(deltas.min()), int(deltas.max())
         radix = 2 * pla.epsilon_eff + 1
         if max(zigzag(lo), zigzag(hi)) >= radix:
             raise ValueError("anchor delta exceeds the recorded effective error")
         if not -(1 << 63) <= lo <= hi < 1 << 63:
             raise ValueError("anchor delta of 2^63 or more: its zig-zag code does not fit in 64 bits")
-        d = np.array(deltas, dtype=np.int64)
+        d = deltas.astype(np.int64)
         codes = ((d << 1) ^ (d >> 63)).view(np.uint64)  # zig-zag: the sign in the low bit
         store.d_beta = MixedRadixArray.from_digits(codes[:ell], radix)
         store.d_gamma = MixedRadixArray.from_digits(codes[ell:], radix)
@@ -557,10 +559,16 @@ class PlaContainer:
         return self.mode == MODE_RS and self.VALUE_AXIS == "x"
 
     def to_bytes(self) -> bytes:
-        parts = [part.to_bytes_raw() for part in self.components().values()]
-        if self._stores_x_length():
-            parts[0] = struct.pack("<I", self.x.owner.nbits) + parts[0]
-        return pack_envelope(self.MAGIC, self.mode, self.header()) + pack_components(parts)
+        """The file, in one join of every write_words buffer: a
+        universe-sized `rs` payload is copied once."""
+        out = [pack_envelope(self.MAGIC, self.mode, self.header())]
+        for i, part in enumerate(self.components().values()):
+            chunks = part.raw_chunks()
+            if i == 0 and self._stores_x_length():
+                chunks.insert(0, struct.pack("<I", self.x.owner.nbits))
+            out.append(struct.pack("<I", sum(memoryview(c).nbytes for c in chunks)))
+            out += chunks
+        return b"".join(out)
 
     @classmethod
     def from_parts(cls, mode, header, parts):

@@ -21,6 +21,7 @@ decided exactly and each point costs amortized constant work.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter, index
@@ -90,6 +91,28 @@ class Segment(NamedTuple):
     final_y: int
     first_y: int
     last_y: int
+
+
+def segment_columns(segments, *scalars):
+    """The six fields of `segments` as columns first_x, last_x, intercept,
+    final_y, first_y, last_y (rows of one array), read in one pass:
+    int64 if every field, and every one of the non-negative `scalars`,
+    is below _INT64_SAFE in magnitude, so that a sum or difference of two
+    stays below 2^63, otherwise object arrays of Python ints.  numpy
+    integers are converted; ValueError for any other field that is not
+    an integer."""
+    try:
+        try:  # array("q") takes integers as operator.index does; numpy would truncate a float
+            fields = np.frombuffer(array("q", list(chain.from_iterable(segments))), np.int64)
+            small = max(scalars, default=0) < _INT64_SAFE
+            small = small and -_INT64_SAFE < fields.min(initial=0) and fields.max(initial=0) < _INT64_SAFE
+        except OverflowError:
+            small = False
+        if not small:
+            fields = np.fromiter(map(index, chain.from_iterable(segments)), object, 6 * len(segments))
+    except TypeError as exc:
+        raise ValueError(f"segment fields must be integers: {exc}") from None
+    return fields.reshape(-1, 6).T.copy()
 
 
 @dataclass

@@ -8,8 +8,7 @@ positions by 1 per segment.  The layout is in container.py.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import lt, ne, sub
+import numpy as np
 
 from .container import (
     ENVELOPE_BYTES,
@@ -41,10 +40,8 @@ class CompressedPlaC(PlaContainer):
     def check_segments(fx, lx, fy, ly, n, u, epsilon):
         if fx[0] != 1:
             raise ValueError("first segment must start at position 1")
-        check_pairs([("non-final segments must cover at least 2 positions",
-                      list(map(lt, map(sub, fx[1:], fx), repeat(2)))),
-                     ("segments must partition the position axis",
-                      list(map(ne, map(sub, fx[1:], lx), repeat(1))))])
+        check_pairs([("non-final segments must cover at least 2 positions", np.diff(fx) < 2),
+                     ("segments must partition the position axis", fx[1:] - lx[:-1] != 1)])
         if lx[-1] != n or ly[-1] != u:
             raise ValueError("last segment must end at position n / value u")
         if fx[-1] > lx[-1]:

@@ -13,8 +13,7 @@ mixed-radix group.  The layout is in container.py.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import lt, ne, sub
+import numpy as np
 
 from .container import (
     ENVELOPE_BYTES,
@@ -44,12 +43,9 @@ class CompressedPlaI(PlaContainer):
 
     @staticmethod
     def check_segments(fx, lx, fy, ly, n, u, epsilon):
-        check_pairs([("non-final segments must span at least 2*epsilon keys",
-                      list(map(lt, map(sub, fx[1:], fx), repeat(2 * epsilon)))),
-                     ("non-final segments must cover at least 2*epsilon points",
-                      list(map(lt, map(sub, fy[1:], fy), repeat(2 * epsilon)))),
-                     ("segments must partition the position axis",
-                      list(map(ne, map(sub, fy[1:], ly), repeat(1))))])
+        check_pairs([("non-final segments must span at least 2*epsilon keys", np.diff(fx) < 2 * epsilon),
+                     ("non-final segments must cover at least 2*epsilon points", np.diff(fy) < 2 * epsilon),
+                     ("segments must partition the position axis", fy[1:] - ly[:-1] != 1)])
         if fy[0] != 1 or ly[-1] != n or lx[-1] != u:
             raise ValueError("segments must cover positions 1..n and end at key u")
         if fx[-1] > lx[-1] or fy[-1] > ly[-1]:

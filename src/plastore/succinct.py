@@ -145,17 +145,18 @@ def pack_fields(values, widths):
     laid down in widths[i] bits one after another from bit 0, least
     significant bit first, with the words a list of Python ints.  `widths`
     is one int for every field or a sequence of them; `values` is a uint64
-    array, or a sequence of ints, range-checked before its conversion.
+    array, or ints in any other array or sequence, range-checked first.
     Each field is ORed into the word it starts in and, where it straddles,
     into the next (_or_words).  ValueError for the first value that does
     not fit in its width, or in 64 bits."""
     count = len(values)
     widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), (count,))
-    if not isinstance(values, np.ndarray):
-        if count and (min(values) < 0 or max(values) >> 64):
-            v, w = next((v, w) for v, w in zip(values, widths.tolist()) if v >> min(w, 64))
+    values = _int_array(values)
+    if values.dtype != np.uint64:
+        if _outside(values, 0, 1 << 64):
+            v, w = next((v, w) for v, w in zip(values.tolist(), widths.tolist()) if v >> min(w, 64))
             raise ValueError(f"value {v} does not fit in {min(w, 64)} bits")
-        values = np.array(values, dtype=np.uint64)
+        values = values.astype(np.uint64)
     over = (widths < 64) & (values >> np.minimum(widths, 63).astype(np.uint64) != 0)
     if over.any():
         i = int(over.argmax())
@@ -169,6 +170,17 @@ def pack_fields(values, widths):
     # the straddling bits, shifted in two steps: a shift by 64 is undefined
     _or_words(words, (pos >> 6) + 1, (values >> 1) >> (63 - shift))
     return words[:(nbits + 63) >> 6].tolist(), nbits
+
+
+def _int_array(values):
+    """`values` as an array: any sequence of ints but an array as an object
+    array, since numpy makes a list of ints of 2^63 and more float64."""
+    return values if isinstance(values, np.ndarray) else np.array(list(values), dtype=object)
+
+
+def _outside(a, lo: int, hi: int) -> bool:
+    """Whether an element of the integer or object array `a` is outside [lo, hi)."""
+    return len(a) > 0 and (int(a.min()) < lo or int(a.max()) >= hi)
 
 
 def _or_words(words, wi, parts):
@@ -281,9 +293,13 @@ class Stored:
     def aux_bits(self) -> int:
         return 32 * sum(len(t) for t in self._parts()[1])
 
-    def to_bytes_raw(self) -> bytes:
+    def raw_chunks(self) -> list:
+        """The write_words buffers of the raw form, ready for a join."""
         bitvectors, tables = self._parts()
-        return b"".join([write_words(bv.words) for bv in bitvectors] + [write_words(t, "I") for t in tables])
+        return [write_words(bv.words) for bv in bitvectors] + [write_words(t, "I") for t in tables]
+
+    def to_bytes_raw(self) -> bytes:
+        return b"".join(self.raw_chunks())
 
 
 class BitVector(Stored):
@@ -416,14 +432,14 @@ class RankSelectIndex(Stored):
     @classmethod
     def from_ones(cls, length: int, one_positions) -> "RankSelectIndex":
         """The directory over a `length`-bit vector with ones at the given
-        positions (ints, in any order), built from the positions without a
-        scan of the words; ValueError for the first position outside
-        [0, length)."""
-        positions = list(one_positions)
-        if positions and (min(positions) < 0 or max(positions) >= length):
-            p = next(p for p in positions if not 0 <= p < length)
-            raise ValueError(f"bit position {p} out of range [0, {length})")
-        p = np.array(positions, dtype=np.int64)
+        positions (ints in any order, in an integer or object array or any
+        other sequence), built from the positions without a scan of the
+        words; ValueError for the first position outside [0, length)."""
+        p = _int_array(one_positions)
+        if _outside(p, 0, length):
+            bad = next(x for x in p.tolist() if not 0 <= x < length)
+            raise ValueError(f"bit position {bad} out of range [0, {length})")
+        p = p.astype(np.int64)
         if (p[1:] <= p[:-1]).any():  # sort and drop repeats only where needed
             p = np.unique(p)
         words, directory = _ones(length, p)
@@ -670,10 +686,10 @@ class EliasFano(Stored):
 
     @classmethod
     def encode(cls, values, universe: int) -> "EliasFano":
-        """The non-decreasing ints `values`, each in [0, universe), for a
-        universe of at most 2^64; ValueError otherwise."""
-        values = list(values)
-        n = len(values)
+        """The non-decreasing ints `values` (in any array or sequence), each
+        in [0, universe), for a universe of at most 2^64; ValueError otherwise."""
+        a = _int_array(values)
+        n = len(a)
         if n == 0 or universe == 0:
             if n > 0:
                 raise ValueError("non-empty sequence needs universe >= 1")
@@ -682,10 +698,10 @@ class EliasFano(Stored):
             raise ValueError("universe must be >= 1")
         if universe > 1 << 64:
             raise ValueError(f"universe {universe} exceeds 2^64")
-        if min(values) < 0 or max(values) >= universe:  # checked before the conversion
-            v = next(v for v in values if not 0 <= v < universe)
+        if _outside(a, 0, universe):  # checked before the conversion
+            v = next(v for v in a.tolist() if not 0 <= v < universe)
             raise ValueError(f"value {v} outside [0, {universe})")
-        a = np.array(values, dtype=np.uint64)
+        a = a.astype(np.uint64)
         if (a[1:] < a[:-1]).any():
             raise ValueError("sequence must be non-decreasing")
         lw, high_len = cls.shape(n, universe)

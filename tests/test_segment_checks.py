@@ -1,13 +1,17 @@
 """Every message of the settings' segment checks (`check_segments`), each
 raised by a PLA that breaks one rule, and which message wins when a PLA
 breaks two: the checks run segment pair by segment pair, in the order
-each setting lists them, and before any component is encoded."""
+each setting lists them, and before any component is encoded.  A field
+that is not an integer is refused before any segment rule is checked;
+numpy integers are taken as the ints they hold."""
 
 import random
 
+import numpy as np
 import pytest
 
-from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, Pla, PointSeq, build_optimal_pla, encode_c, encode_i
+from plastore import (COMPRESSION, INDEXING, MODE_EF, MODE_RS, Pla, PointSeq, Segment, build_optimal_pla, encode_c,
+                      encode_i)
 
 ENCODE = {COMPRESSION: encode_c, INDEXING: encode_i}
 
@@ -148,3 +152,34 @@ def test_anchor_delta_alone(setting):
     segs, _, _ = base(setting)
     segs[1] = segs[1]._replace(intercept=segs[1].intercept + 10**6)
     assert refused(setting, segs, MODE_EF) == "anchor delta exceeds the recorded effective error"
+
+
+@pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
+@pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
+@pytest.mark.parametrize("field", Segment._fields)
+@pytest.mark.parametrize("value", (1.5, 2.0))
+def test_non_integer_field(value, field, setting, mode):
+    # a float was once truncated or rounded into another PLA, or refused with a TypeError
+    segs, _, _ = base(setting)
+    segs[1] = segs[1]._replace(**{field: value})
+    assert refused(setting, segs, mode) == ("segment fields must be integers: "
+                                            "'float' object cannot be interpreted as an integer")
+
+
+@pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
+def test_non_integer_field_after_one_beyond_int64(setting):
+    segs, _, _ = base(setting)
+    segs[0] = segs[0]._replace(intercept=1 << 70)
+    segs[3] = segs[3]._replace(first_y=np.float64(7))
+    assert refused(setting, segs, MODE_EF) == ("segment fields must be integers: "
+                                               "'numpy.float64' object cannot be interpreted as an integer")
+
+
+@pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
+@pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
+def test_numpy_integer_fields_give_the_same_bytes(setting, mode):
+    segs, points, pla = base(setting)
+    numpy_segs = [Segment(*map(np.int64, seg)) for seg in segs]
+    encode = ENCODE[setting]
+    numpy_pla = Pla(numpy_segs, pla.epsilon, pla.epsilon_eff, setting)
+    assert encode(numpy_pla, points, mode).to_bytes() == encode(pla, points, mode).to_bytes()
