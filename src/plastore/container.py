@@ -192,9 +192,10 @@ class ProbeCounter:
     (one select, rank, packed read, or bit-field read each; a run of c
     consecutive values, read by one select and a forward scan, counts c);
     `search_steps` counts the steps of the ef-mode predecessor search
-    alone: one for its rank-directory step and one per exact value it
-    reads (`EliasFano.count_at_most`).  The rs-mode search is one rank,
-    one primitive and no search step (`RankSelectIndex.count_at_most`).
+    alone: one for its bisection of the per-word bounds and one per
+    exact value it reads (`EliasFano.count_at_most`).  The rs-mode search
+    is one rank, one primitive and no search step
+    (`RankSelectIndex.count_at_most`).
     """
 
     __slots__ = ("primitives", "search_steps")
@@ -260,14 +261,6 @@ def unpack_envelope(expected_magic: bytes, data) -> tuple:
         raise FormatError(f"inconsistent header: n {n}, u {u}, ell {ell}, epsilon {epsilon}, "
                           f"epsilon_eff {epsilon_eff}, w_delta {w_delta}")
     return _MODE_NAME[mode_code], (n, u, ell, epsilon, epsilon_eff, w_delta)
-
-
-def pack_components(payloads) -> bytes:
-    out = []
-    for p in payloads:
-        out.append(struct.pack("<I", len(p)))
-        out.append(p)
-    return b"".join(out)
 
 
 def unpack_components(data, off: int, count: int):

@@ -9,7 +9,8 @@ Conventions used throughout the package:
 * bit positions are 0-indexed,
 * ordinals handed to select-style operations are 1-indexed,
 * every structure is immutable after construction and safe for any number
-  of concurrent readers.
+  of concurrent readers, but for one memo that any reader may rebuild to
+  the same value: EliasFano's search bounds of one shift (``_bounds``).
 
 Every stored type is a ``Stored``: it lists its bitvectors and its u32
 tables (``_parts``), and is serialized as the words of the bitvectors,
@@ -29,8 +30,8 @@ first.  One loader, ``RankSelectIndex.from_bytes_raw``, reads both kinds:
 it rebuilds the directory from the words (``_load_bits``) and refuses a
 payload whose count of ones or stored tables differ from the rebuilt
 ones, so no query reads a table that load did not check.  The
-Elias-Fano predecessor search (``EliasFano.count_at_most``) bisects the
-rank block counts.
+Elias-Fano predecessor search (``EliasFano.count_at_most``) bisects a
+lower bound per word of the high bits, derived from the words.
 
 One numpy builder, ``_directory``, makes every directory from the
 nonzero words of a vector and their indices: the block counts from the
@@ -60,7 +61,7 @@ import struct
 import sys
 from array import array
 from bisect import bisect_right
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -653,17 +654,18 @@ class EliasFano(Stored):
     value sets bit (v >> low_width) + k.
     select is one select1 on the high bits plus one packed read.
     count_at_most, the predecessor search, bounds every value from below
-    by its high part, read from the rank directory and at most one rank
-    block of high bits, and reads exact values only where that bound
-    cannot decide (Vigna, "Quasi-succinct indices", WSDM 2013, with the
-    rank-block counts of Gonzalez, Grabowski, Makinen & Navarro, WEA
-    2005).  Of `high_rs`'s directory only the select samples after the
-    first are stored; load rebuilds the directory from the high bits and
-    refuses a payload whose count of ones is not n_values or whose stored
-    samples differ from the rebuilt ones.
+    by its high part: one bisection of a bound per high-bit word, then
+    one word, and exact reads only where that bound cannot decide (Vigna,
+    "Quasi-succinct indices", WSDM 2013).  The bounds of the last shift
+    searched, built idempotently by its first search (`_bounds`), are the
+    one state that changes after construction.  Of `high_rs`'s directory
+    only the select samples after the first are stored; load rebuilds the
+    directory from the high bits and refuses a payload whose count of
+    ones is not n_values or whose stored samples differ from the rebuilt
+    ones.
     """
 
-    __slots__ = ("n_values", "universe", "low_width", "lows", "high_rs")
+    __slots__ = ("n_values", "universe", "low_width", "lows", "high_rs", "_bounds")
 
     def __init__(self, n_values, universe, low_width, lows, high_rs):
         self.n_values = n_values
@@ -671,6 +673,7 @@ class EliasFano(Stored):
         self.low_width = low_width
         self.lows = lows
         self.high_rs = high_rs
+        self._bounds = None  # (shift, bounds, before) of the last search, _word_bounds
 
     @classmethod
     def _empty(cls, universe):
@@ -739,67 +742,73 @@ class EliasFano(Stored):
         return out
 
     def count_at_most(self, t: int, shift: int = 0, probes=None) -> int:
-        """How many ordinals k (1-indexed) have s_k + shift*k <= t; for
-        shift >= 0 they form a prefix.  The rank directory of the high
-        bits bounds each ordinal from below without reading a low, and
-        limits the exact reads to the few ordinals that bound cannot
-        decide.  `probes` counts the directory step as one primitive and
-        one search step, like a rank, and one of each per exact read."""
+        """How many ordinals k (1-indexed) have s_k + shift*k <= t, for
+        shift >= 0 (ValueError otherwise), where they form a prefix.  One
+        bisection of the per-word bounds (_word_bounds) finds the word of
+        the last ordinal whose high-bit bound is <= t, reading no low;
+        exact reads, the first from that word, settle the rest.  `probes`
+        counts the bisection as one primitive and one search step, like a
+        rank, and one of each per exact read."""
+        if shift < 0:
+            raise ValueError(f"the ordinals form a prefix only for shift >= 0, not {shift}")
         if not self.n_values:
             return 0
         lw = self.low_width
-        counts = self.high_rs.block_counts
         if probes is not None:
             probes.primitives += 1
             probes.search_steps += 1
-        # The k-th one-bit sits at p_k = (s_k >> lw) + k - 1, so s_k >=
-        # (p_k - k + 1) << lw.  The first ordinal at or after rank block b,
-        # counts[b] + 1, has p >= 512b: past the last block whose bound is
-        # <= t, every ordinal is > t.
-        b = bisect_right(range(len(counts)), t,
-                         key=lambda b: ((RANK_BLOCK_BITS * b - counts[b]) << lw) + shift * (counts[b] + 1)) - 1
-        if b < 0:
+        memo = self._bounds
+        if memo is None or memo[0] != shift:
+            memo = self._bounds = self._word_bounds(shift)
+        _, bounds, before = memo
+        # past the last word whose bound is <= t, every ordinal is > t;
+        # every ordinal before that word has a high-bit bound <= t
+        wi = bisect_right(bounds, t) - 1
+        if wi < 0:
             return 0
-        # k: the last ordinal whose high-bit bound is <= t, found within
-        # at most the 8 words of block b; every later ordinal is > t
-        words = self.high_rs.owner.words
-        k = counts[b]
-        for wi in range(b * _BLOCK_WORDS, min((b + 1) * _BLOCK_WORDS, len(words))):
-            w = words[wi]
-            if not w:
-                continue
+        # k: the last ordinal whose high-bit bound is <= t, and pos its
+        # one-bit when it sits in word wi (else -1)
+        k = before[wi]
+        pos = -1
+        w = self.high_rs.owner.words[wi]
+        if w:
             c = w.bit_count()
             base = (wi << 6) - k  # a one-bit's high part: base + the zeros below it in the word
             if ((base + w.bit_length() - c) << lw) + shift * (k + c) <= t:
                 k += c
-                continue
-            # the j-th one-bit passes iff its zeros below are at most
-            # ((t - shift*(k + j)) >> lw) - base, a limit that falls with j
-            z = ((t - shift * (k + 1)) >> lw) - base
-            if z == ((t - shift * (k + c)) >> lw) - base:
-                # one limit for the whole word: the ones below its (z+1)-th zero
-                k += (w & ((1 << _select_in_word(~w & _WORD_MASK, z + 1)) - 1)).bit_count() if z >= 0 else 0
-                break
-            lo, hi = 0, c - 1
-            while lo < hi:
-                j = (lo + hi + 1) // 2
-                if ((base + _select_in_word(w, j) - j + 1) << lw) + shift * (k + j) <= t:
-                    lo = j
+                pos = (wi << 6) + w.bit_length() - 1
+            else:
+                # the j-th one-bit passes iff its zeros below are at most
+                # ((t - shift*(k + j)) >> lw) - base, a limit that falls with j
+                z = ((t - shift * (k + 1)) >> lw) - base
+                if z == ((t - shift * (k + c)) >> lw) - base:
+                    # one limit for the whole word: the ones below its (z+1)-th zero
+                    below = w & ((1 << _select_in_word(~w & _WORD_MASK, z + 1)) - 1) if z >= 0 else 0
+                    k += below.bit_count()
+                    pos = (wi << 6) + below.bit_length() - 1 if below else -1
                 else:
-                    hi = j - 1
-            k += lo
-            break
+                    lo, hi = 0, c - 1
+                    while lo < hi:
+                        j = (lo + hi + 1) // 2
+                        p = _select_in_word(w, j)
+                        if ((base + p - j + 1) << lw) + shift * (k + j) <= t:
+                            lo, pos = j, (wi << 6) + p
+                        else:
+                            hi = j - 1
+                    k += lo
 
-        # the exact values: gallop back from k to an ordinal <= t, then
-        # bisect the last gap
+        # the exact values: the k-th from its one-bit when known, then a
+        # gallop back to an ordinal <= t and a bisection of the last gap
         select = self.select
         reads = 0
         hi = k
         step = 1
         while k:
             reads += 1
-            if select(k) + shift * k <= t:
+            v = select(k) if pos < 0 else ((pos - k + 1) << lw) | self.lows.read_field((k - 1) * lw, lw)
+            if v + shift * k <= t:
                 break
+            pos = -1
             hi = k - 1
             k = max(0, k - step)
             step *= 2
@@ -814,6 +823,18 @@ class EliasFano(Stored):
             probes.primitives += reads
             probes.search_steps += reads
         return k
+
+    def _word_bounds(self, shift: int):
+        """(shift, bounds, before) of the high-bit words: before[w], the
+        one-bits ahead of word w, and bounds[w] = ((64w - before[w]) << lw)
+        + shift*(before[w] + 1), which bounds s_k + shift*k from below for
+        every ordinal k > before[w] and does not fall with w.  Python ints:
+        with a shift of 2^70 they outgrow int64."""
+        lw = self.low_width
+        words = self.high_rs.owner.words
+        before = list(accumulate(map(int.bit_count, words), initial=0))
+        bounds = [((w * WORD_BITS - b) << lw) + shift * (b + 1) for w, b in enumerate(before[:-1])]
+        return shift, bounds, before
 
     def pred(self, x: int):
         """Largest (k, value) with value <= x, or None."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, FormatError, Pla, PointSeq, build_optimal_pla
-from plastore.container import ENVELOPE_BYTES, ENVELOPE_FMT, N_COMPONENTS, pack_components, unpack_components, zigzag
+from plastore.container import ENVELOPE_BYTES, ENVELOPE_FMT, N_COMPONENTS, unpack_components, zigzag
 from plastore.store_compression import CompressedPlaC, encode_c
 from plastore.store_indexing import CompressedPlaI, encode_i
 from plastore.succinct import SELECT_SAMPLE_RATE
@@ -207,6 +207,11 @@ def test_flipped_delta_group_refused(setting, mode):
         except FormatError:
             pass
     assert refused >= len(groups)
+
+
+def pack_components(payloads) -> bytes:
+    """The inverse of unpack_components: each payload after its u32 length."""
+    return b"".join(struct.pack("<I", len(p)) + bytes(p) for p in payloads)
 
 
 @pytest.mark.parametrize("component", range(N_COMPONENTS))

@@ -5,6 +5,7 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plastore import COMPRESSION, INDEXING, MODE_EF, MODE_RS, PointSeq, build_optimal_pla, encode_c, encode_i
 from plastore.container import ProbeCounter
 from plastore.succinct import (
     BitVector,
@@ -307,3 +308,78 @@ class TestCountAtMost:
         for shift in (1, -1, 31):
             with pytest.raises(ValueError):
                 idx.count_at_most(500, shift)
+
+    def test_negative_shift_refused(self):
+        # below shift 0 the ordinals need not form a prefix: at shift -1,
+        # s_k - k is -1, -2, 0, 1, 4, 3, 5, so one ordinal (the 2nd) has
+        # s_k - k <= -2 though the 1st does not
+        ef = EliasFano.encode([0, 0, 3, 5, 9, 9, 12], 16)
+        with pytest.raises(ValueError):
+            ef.count_at_most(-2, -1)
+
+    @given(values=st.lists(st.integers(0, 99), min_size=1, max_size=50).map(sorted),
+           t=st.integers(-1000, 1000), shift=st.integers(max_value=-1) | st.just(-(1 << 70)))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_negative_shift_always_refused(self, values, t, shift):
+        with pytest.raises(ValueError):
+            EliasFano.encode(values, 100).count_at_most(t, shift)
+
+    @pytest.mark.parametrize("n, universe, low_width", ((3000, 3000, 0), (3000, 7000, 1), (1500, 1 << 30, 19),
+                                                        (700, 1 << 64, 54)))
+    @pytest.mark.parametrize("shift", (0, 1, 31, 1 << 70))
+    def test_one_high_bit_word_per_call(self, n, universe, low_width, shift):
+        # once the bounds of a shift exist, the search reads one word of
+        # the high bits, and its exact reads go through select
+        rng = random.Random(n + shift)
+        values = sorted(rng.randrange(universe) for _ in range(n))
+        ef, words = CountingEliasFano.of(values, universe)
+        assert ef.low_width == low_width
+        sums = [v + shift * k for k, v in enumerate(values, start=1)]
+        ef.count_at_most(sums[0], shift)
+        targets = [-1, 0, sums[-1] + 1] + [rng.randrange(-5, sums[-1] + 6) for _ in range(200)]
+        targets += [sums[k] - d for k in rng.sample(range(n), 100) for d in (0, 1)]
+        for t in targets:
+            words.reads = 0
+            assert ef.count_at_most(t, shift) == bisect_right(sums, t), t
+            assert words.reads <= 1, (t, words.reads)
+
+    def test_alternating_shifts_match_brute_force(self):
+        # one EliasFano searched with shift 0 (pred) and 31 in turn: each
+        # call must use the bounds of its own shift, so it answers as
+        # brute force does, with the probes of one searched with that
+        # shift alone (bounds of a smaller shift would still answer right,
+        # through more exact reads)
+        rng = random.Random(23)
+        for universe in (500, 1 << 40):
+            values = sorted(rng.randrange(universe) for _ in range(1200))
+            ef = EliasFano.encode(values, universe)
+            alone = {shift: EliasFano.encode(values, universe) for shift in (0, 31)}
+            sums = {shift: [v + shift * k for k, v in enumerate(values, start=1)] for shift in (0, 31)}
+            for shift in (0, 31, 0, 31, 0):
+                for t in [rng.randrange(-5, sums[shift][-1] + 5) for _ in range(50)]:
+                    got, want = ProbeCounter(), ProbeCounter()
+                    k = ef.count_at_most(t, shift, got)
+                    assert k == alone[shift].count_at_most(t, shift, want) == bisect_right(sums[shift], t), t
+                    assert (got.primitives, got.search_steps) == (want.primitives, want.search_steps), t
+                    if not shift:
+                        assert ef.pred(t) == ((k, values[k - 1]) if k else None), t
+
+
+@pytest.mark.parametrize("mode", (MODE_EF, MODE_RS))
+@pytest.mark.parametrize("setting", (COMPRESSION, INDEXING))
+def test_predicts_leave_the_container_unchanged(setting, mode):
+    # the search keeps its bounds in memory only: neither the bytes nor
+    # the size budget of a container move with the predicts it answers
+    rng = random.Random(11)
+    values = sorted(rng.sample(range(1, 40_000), 3000))
+    points = PointSeq(values, setting=setting)
+    encode = encode_c if setting == COMPRESSION else encode_i
+    store = encode(build_optimal_pla(points, 4), points, mode)
+    data, budget = store.to_bytes(), store.size_bits()
+    xs = range(1, len(values) + 1) if setting == COMPRESSION else range(values[0], values[-1] + 1, 7)
+    for x in xs:
+        store.predict(x)
+    if mode == MODE_EF:
+        store.x.pred(values[-1])  # the bounds of shift 0 as well
+    assert store.to_bytes() == data
+    assert store.size_bits() == budget
